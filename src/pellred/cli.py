@@ -24,69 +24,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func)
+        return p
+
     def poly_args(p, *names):
         for name in names:
             p.add_argument(name, required=True, metavar="POLY")
 
-    p = sub.add_parser("redei", help="one Redei pair (N_n, D_n)")
+    p = command("redei", _cmd_redei, "one Redei pair (N_n, D_n)")
     poly_args(p, "--alpha", "--z")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("table", help="rows n = 1..n_max of (N_n, D_n)")
+    p = command("table", _cmd_table, "rows n = 1..n_max of (N_n, D_n)")
     poly_args(p, "--alpha", "--z")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("solve", help="normalized solution of P^2-(f^2+d)Q^2=1")
+    p = command("solve", _cmd_solve, "normalized solution of P^2-(f^2+d)Q^2=1")
     poly_args(p, "-f")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("solve-m", help="normalized degree-m solution for R=(-f)^m+r")
+    p = command("solve-m", _cmd_solve_m, "normalized degree-m solution for R=(-f)^m+r")
     poly_args(p, "-f")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify", help="check P^2 - D*Q^2 == 1 exactly")
+    p = command("verify", _cmd_verify, "check P^2 - D*Q^2 == 1 exactly")
     poly_args(p, "--P", "--Q")
     p.add_argument("--D", metavar="POLY")
     p.add_argument("-f", metavar="POLY")
     p.add_argument("-d", type=int)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("identify", help="match an integer solution to its index n")
+    p = command("identify", _cmd_identify, "match an integer solution to its index n")
     poly_args(p, "--P", "--Q", "-f")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("classify", help="integrality class of d, or the degree-m case")
+    p = command("classify", _cmd_classify, "integrality class of d, or the degree-m case")
     p.add_argument("-d", type=int)
     p.add_argument("-r", type=int)
     p.add_argument("-m", type=int)
     p.add_argument("-n", type=int)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("probe", help="divisibility scan for r = +-m, prime m")
+    p = command("probe", _cmd_probe, "divisibility scan for r = +-m, prime m")
     poly_args(p, "-f")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
     return parser
 
 
+def _pair_json(pair) -> dict:
+    return {"n": pair.n, "N": pair.N.to_json(), "D": pair.D.to_json()}
+
+
 def emit_table(alpha: Poly, z: Poly, n_max: int, as_json: bool = False) -> str:
     """Table text for rows n = 1..n_max; TSV with a header, or JSON lines."""
-    pairs = redei_sequence(alpha, z, n_max)[1:] if n_max > 0 else []
+    pairs = redei_sequence(alpha, z, n_max)[1:]
     if as_json:
-        lines = [
-            json.dumps({"n": p.n, "N": p.N.to_json(), "D": p.D.to_json()})
-            for p in pairs
-        ]
+        lines = [json.dumps(_pair_json(p)) for p in pairs]
     else:
         lines = ["n\tN\tD"] + [f"{p.n}\t{p.N}\t{p.D}" for p in pairs]
     return "".join(line + "\n" for line in lines)
@@ -96,163 +95,120 @@ def _bool_text(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _cmd_redei(args) -> int:
-    pair = redei_recurrence(parse_poly(args.alpha), parse_poly(args.z), args.n)
-    if args.json:
-        print(json.dumps({"n": pair.n, "N": pair.N.to_json(), "D": pair.D.to_json()}))
-    else:
-        print(f"N = {pair.N}")
-        print(f"D = {pair.D}")
+def _emit(args, data: dict, *lines: str) -> int:
+    """Print ``data`` as one JSON line under --json, else the text lines."""
+    print(json.dumps(data) if args.json else "\n".join(lines))
     return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_redei(args, error) -> int:
+    pair = redei_recurrence(parse_poly(args.alpha), parse_poly(args.z), args.n)
+    return _emit(args, _pair_json(pair), f"N = {pair.N}", f"D = {pair.D}")
+
+
+def _cmd_table(args, error) -> int:
     sys.stdout.write(emit_table(parse_poly(args.alpha), parse_poly(args.z), args.n_max, args.json))
     return 0
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args, error) -> int:
     sol = solve(PellProblem(parse_poly(args.f), args.d), args.n)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "n": sol.n,
-                    "P": sol.P.to_json(),
-                    "Q": sol.Q.to_json(),
-                    "integral": sol.integral,
-                    "normalizer": str(sol.normalizer),
-                }
-            )
-        )
-    else:
-        print(f"P = {sol.P}")
-        print(f"Q = {sol.Q}")
-        print(f"integral = {_bool_text(sol.integral)}")
-        print(f"normalizer = {sol.normalizer}")
-    return 0
+    data = {
+        "n": sol.n,
+        "P": sol.P.to_json(),
+        "Q": sol.Q.to_json(),
+        "integral": sol.integral,
+        "normalizer": str(sol.normalizer),
+    }
+    return _emit(
+        args,
+        data,
+        f"P = {sol.P}",
+        f"Q = {sol.Q}",
+        f"integral = {_bool_text(sol.integral)}",
+        f"normalizer = {sol.normalizer}",
+    )
 
 
-def _cmd_solve_m(args) -> int:
+def _cmd_solve_m(args, error) -> int:
     sol = solve_m(parse_poly(args.f), args.r, args.m, args.n)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "m": sol.m,
-                    "n": sol.n,
-                    "R": sol.R.to_json(),
-                    "sols": [s.to_json() for s in sol.sols],
-                    "integral": sol.integral,
-                    "normalizer": str(sol.normalizer),
-                }
-            )
-        )
-    else:
-        print(f"R = {sol.R}")
-        for i, s in enumerate(sol.sols, 1):
-            print(f"P{i} = {s}")
-        print(f"integral = {_bool_text(sol.integral)}")
-        print(f"normalizer = {sol.normalizer}")
-    return 0
+    data = {
+        "m": sol.m,
+        "n": sol.n,
+        "R": sol.R.to_json(),
+        "sols": [s.to_json() for s in sol.sols],
+        "integral": sol.integral,
+        "normalizer": str(sol.normalizer),
+    }
+    return _emit(
+        args,
+        data,
+        f"R = {sol.R}",
+        *(f"P{i} = {s}" for i, s in enumerate(sol.sols, 1)),
+        f"integral = {_bool_text(sol.integral)}",
+        f"normalizer = {sol.normalizer}",
+    )
 
 
-def _verify_target(args, parser_error) -> Poly:
+def _cmd_verify(args, error) -> int:
     if args.D is not None:
-        return parse_poly(args.D)
-    if args.f is not None and args.d is not None:
+        D = parse_poly(args.D)
+    elif args.f is not None and args.d is not None:
         f = parse_poly(args.f)
-        return f * f + args.d
-    parser_error("verify needs --D, or -f together with -d")
-
-
-def _cmd_verify(args) -> int:
-    P, Q = parse_poly(args.P), parse_poly(args.Q)
-    ok = verify(P, Q, args._target)
-    if args.json:
-        print(json.dumps({"verified": ok}))
+        D = f * f + args.d
     else:
-        print(_bool_text(ok))
-    return 0
+        error("verify needs --D, or -f together with -d")
+    ok = verify(parse_poly(args.P), parse_poly(args.Q), D)
+    return _emit(args, {"verified": ok}, _bool_text(ok))
 
 
-def _cmd_identify(args) -> int:
+def _cmd_identify(args, error) -> int:
     n = identify_solution(parse_poly(args.P), parse_poly(args.Q), parse_poly(args.f), args.d)
-    if args.json:
-        print(json.dumps({"n": n}))
-    else:
-        print("unidentified" if n is None else f"n = {n}")
-    return 0
+    return _emit(args, {"n": n}, "unidentified" if n is None else f"n = {n}")
 
 
-def _cmd_classify(args, parser_error) -> int:
+def _cmd_classify(args, error) -> int:
     if args.m is not None:
         if args.r is None or args.n is None:
-            parser_error("degree-m classification needs -r, -m and -n")
+            error("degree-m classification needs -r, -m and -n")
         flag = classify_m(args.r, args.m, args.n)
-        if args.json:
-            print(json.dumps({"r": args.r, "m": args.m, "n": args.n, "integral_case": flag}))
-        else:
-            print(_bool_text(flag))
-        return 0
+        data = {"r": args.r, "m": args.m, "n": args.n, "integral_case": flag}
+        return _emit(args, data, _bool_text(flag))
     if args.d is None:
-        parser_error("classify needs -d, or the tuple -r -m -n")
+        error("classify needs -d, or the tuple -r -m -n")
     tag = classify(args.d).tag
-    if args.json:
-        print(json.dumps({"d": args.d, "class": tag}))
-    else:
-        print(tag)
-    return 0
+    return _emit(args, {"d": args.d, "class": tag}, tag)
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args, error) -> int:
     report = divisibility_probe(parse_poly(args.f), args.m, args.n_max)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "m": report.m,
-                    "f": report.f.to_json(),
-                    "n_max": report.n_max,
-                    "ok": report.ok,
-                    "violation": list(report.violation) if report.violation else None,
-                }
-            )
-        )
+    data = {
+        "m": report.m,
+        "f": report.f.to_json(),
+        "n_max": report.n_max,
+        "ok": report.ok,
+        "violation": list(report.violation) if report.violation else None,
+    }
+    if report.ok:
+        result = "ok"
     else:
-        print(f"m = {report.m}")
-        print(f"f = {report.f}")
-        print(f"n_max = {report.n_max}")
-        if report.ok:
-            print("result = ok")
-        else:
-            r, n, idx = report.violation
-            print(f"result = violation at r={r}, n={n}, component {idx}")
-    return 0
+        r, n, idx = report.violation
+        result = f"violation at r={r}, n={n}, component {idx}"
+    return _emit(
+        args,
+        data,
+        f"m = {report.m}",
+        f"f = {report.f}",
+        f"n_max = {report.n_max}",
+        f"result = {result}",
+    )
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "redei":
-            return _cmd_redei(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "solve-m":
-            return _cmd_solve_m(args)
-        if args.command == "verify":
-            args._target = _verify_target(args, parser.error)
-            return _cmd_verify(args)
-        if args.command == "identify":
-            return _cmd_identify(args)
-        if args.command == "classify":
-            return _cmd_classify(args, parser.error)
-        if args.command == "probe":
-            return _cmd_probe(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.func(args, parser.error)
     except ParseError as exc:
         print(f"ParseError: {exc}", file=sys.stderr)
         return 2

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 
-from .polyring import DomainError, ONE, Poly, X
-from .redei import RedeiPair, redei_recurrence, redei_sequence
+from .polyring import DomainError, NEG_INF, ONE, Poly, X
+from .redei import RedeiPair, check_degree_index, norm_power, redei_recurrence, redei_sequence
 
 
 class ZeroD(DomainError):
@@ -100,25 +100,10 @@ def classify(d: int) -> IntegralityClass:
     return IntegralityClass(tag, d)
 
 
-def _normalizer(d: int, n: int) -> int | None:
-    """(-d)^(n/2) when it is rational (then it is in fact an integer)."""
-    base = -d
-    if n % 2 == 0:
-        return base ** (n // 2)
-    if base >= 0:
-        k = isqrt(base)
-        if k * k == base:
-            return k**n
-    return None
-
-
-def _finish(d: int, n: int, pair: RedeiPair) -> PellSolution:
-    scale = _normalizer(d, n)
-    if scale is None:
-        raise OddIndexUndefined(f"(-d)^(n/2) is irrational for d={d}, n={n}")
+def _finish(pair: RedeiPair, scale: int) -> PellSolution:
     P = pair.N / scale
     Q = pair.D / scale
-    return PellSolution(P, Q, n, P.is_integral() and Q.is_integral(), scale)
+    return PellSolution(P, Q, pair.n, P.is_integral() and Q.is_integral(), scale)
 
 
 def solve(problem: PellProblem, n: int) -> PellSolution:
@@ -127,7 +112,10 @@ def solve(problem: PellProblem, n: int) -> PellSolution:
     Defined for even n, for d = -1, and more generally whenever -d is a
     perfect square (so the normalizer is an exact integer).
     """
-    return _finish(problem.d, n, redei_recurrence(problem.D, problem.f, n))
+    scale = norm_power(-problem.d, 2, n)
+    if scale is None:
+        raise OddIndexUndefined(f"(-d)^(n/2) is irrational for d={problem.d}, n={n}")
+    return _finish(redei_recurrence(problem.D, problem.f, n), scale)
 
 
 def solve_sequence(problem: PellProblem, n_max: int) -> list[PellSolution | None]:
@@ -138,10 +126,8 @@ def solve_sequence(problem: PellProblem, n_max: int) -> list[PellSolution | None
     """
     out: list[PellSolution | None] = []
     for pair in redei_sequence(problem.D, problem.f, n_max):
-        if _normalizer(problem.d, pair.n) is None:
-            out.append(None)
-        else:
-            out.append(_finish(problem.d, pair.n, pair))
+        scale = norm_power(-problem.d, 2, pair.n)
+        out.append(None if scale is None else _finish(pair, scale))
     return out
 
 
@@ -216,44 +202,28 @@ def identify_solution(P, Q, f, d: int) -> int | None:
         return None
     cur_p = _positive_leading(P)
     cur_q = _positive_leading(Q)
-    scale = _normalizer(d, n)
-    if scale is not None:
+    scale = norm_power(-d, 2, n)
+    if scale is None:
+        # Irrational rescale: run the chain at norm level 1, through the
+        # rational levels (-d)^0, (-d)^-1, ...; only degree shape is checked.
+        top = 0
+    else:
         # Integral chain at levels n, n-1, ..., 0.
-        cur_p = cur_p * abs(scale)
-        cur_q = cur_q * abs(scale)
-        for level in range(n, 0, -1):
-            cur_p, cur_q = descend(cur_p, cur_q, f, d, level)
-            cur_p = _positive_leading(cur_p)
-            cur_q = _positive_leading(cur_q)
-            if not (cur_p.is_integral() and cur_q.is_integral()):
-                return None
-            remaining = level - 1
-            if cur_p.degree != (remaining * deg_f if remaining else 0):
-                return None
-            expected_q = (remaining - 1) * deg_f if remaining else None
-            if remaining == 0:
-                if not cur_q.is_zero():
-                    return None
-            elif cur_q.degree != expected_q:
-                return None
-        return n if cur_p == ONE else None
-    # Irrational rescale: run the same chain at norm level 1, through the
-    # rational levels (-d)^0, (-d)^-1, ...; only degree shape is checked.
-    for step in range(n):
-        cur_p, cur_q = descend(cur_p, cur_q, f, d, -step)
+        cur_p, cur_q, top = cur_p * abs(scale), cur_q * abs(scale), n
+    bottom = top - n
+    for level in range(top, bottom, -1):
+        cur_p, cur_q = descend(cur_p, cur_q, f, d, level)
         cur_p = _positive_leading(cur_p)
         cur_q = _positive_leading(cur_q)
-        remaining = n - step - 1
-        if cur_p.degree != (remaining * deg_f if remaining else 0):
+        if scale is not None and not (cur_p.is_integral() and cur_q.is_integral()):
             return None
-        if remaining == 0:
-            if not cur_q.is_zero():
-                return None
-        elif cur_q.degree != (remaining - 1) * deg_f:
+        remaining = level - 1 - bottom
+        if cur_p.degree != remaining * deg_f:
             return None
-    target = Fraction(-d) ** (-n)
+        if cur_q.degree != ((remaining - 1) * deg_f if remaining else NEG_INF):
+            return None
     value = cur_p.coeffs[0] if cur_p.coeffs else 0
-    return n if value * value == target else None
+    return n if value * value == Fraction(-d) ** bottom else None
 
 
 def solve_square_shift(f, n: int) -> PellSolution | None:
@@ -281,6 +251,7 @@ def nathanson(d: int, n: int) -> tuple[Poly, Poly]:
         A'_k = x A'_{k-1} + (x^2 - 1) B'_{k-1},                   A'_0 = 1
         B'_k = A'_{k-1} + x B'_{k-1},                             B'_0 = 0
     """
+    check_degree_index(2, n)
     if d not in (1, -1, 2, -2):
         raise UnsupportedD(f"d={d} is outside {{1, -1, 2, -2}}")
     A, B = ONE, Poly()

@@ -1,10 +1,9 @@
 """Degree-m polynomial Pell equations via generalized Redei vectors.
 
-The vector (A_n^(0), ..., A_n^(m-1)) collects the components of
-(z + alpha^(1/m))^n on the power basis of alpha^(1/m).  It is the first
-column of M^n, where M has z on the diagonal, 1 on the subdiagonal and
-alpha in the top-right corner, and the R-twisted circulant built from it
-(with R = alpha) is exactly M^n, so its determinant is
+The vector (A_n^(0), ..., A_n^(m-1)) of ``redei`` is the first column of
+M^n, where M is the step matrix: z on the diagonal, 1 on the subdiagonal and
+alpha in the top-right corner.  The R-twisted circulant built from it (with
+R = alpha) is exactly M^n, so its determinant is
 
     det M^n = (z^m + (-1)^(m-1) * alpha)^n.
 
@@ -16,11 +15,18 @@ base (when it is an exact integer) yields solutions of det = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .polyring import DomainError, ONE, Poly, ZERO
-from .polymat import PolyMatrix, build_circulant
-from math import comb
+from .polyring import DomainError, Poly
+from .polymat import build_circulant
+from .redei import (  # the engine; its names stay importable from here
+    GenRedeiVec,
+    check_degree_index,
+    gen_redei,
+    gen_redei_oracle,
+    gen_redei_sequence,
+    norm_power,
+    step_matrix,
+)
 
 
 class IrrationalNormalizer(DomainError):
@@ -36,17 +42,6 @@ class NotPrime(DomainError):
 
 
 @dataclass(frozen=True)
-class GenRedeiVec:
-    """The vector (A_n^(0), ..., A_n^(m-1)) for given (z, alpha, m, n)."""
-
-    m: int
-    n: int
-    z: Poly
-    alpha: Poly
-    A: tuple[Poly, ...]
-
-
-@dataclass(frozen=True)
 class PellMSolution:
     """Normalized degree-m solution: the circulant of ``sols`` has det 1."""
 
@@ -58,102 +53,19 @@ class PellMSolution:
     normalizer: int
 
 
-def step_matrix(z, alpha, m: int) -> PolyMatrix:
-    """The m x m multiply-by-(z + alpha^(1/m)) matrix on the power basis."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    z, alpha = Poly(z), Poly(alpha)
-    rows = [[ZERO] * m for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = z
-    for i in range(1, m):
-        rows[i][i - 1] = ONE
-    rows[0][m - 1] = alpha
-    return PolyMatrix(rows)
-
-
-def gen_redei(z, alpha, m: int, n: int) -> GenRedeiVec:
-    """The vector as the first column of the n-th step-matrix power."""
-    z, alpha = Poly(z), Poly(alpha)
-    power = step_matrix(z, alpha, m).pow(n)
-    return GenRedeiVec(m, n, z, alpha, power.column(0))
-
-
-def gen_redei_sequence(z, alpha, m: int, n_max: int) -> list[GenRedeiVec]:
-    """Vectors for n = 0..n_max via the componentwise step rule.
-
-    A_{n+1}^(0) = z*A_n^(0) + alpha*A_n^(m-1);
-    A_{n+1}^(i) = z*A_n^(i) + A_n^(i-1) for i >= 1.
-    """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    z, alpha = Poly(z), Poly(alpha)
-    comp = [ONE] + [ZERO] * (m - 1)
-    out = [GenRedeiVec(m, 0, z, alpha, tuple(comp))]
-    for n in range(1, n_max + 1):
-        comp = [z * comp[0] + alpha * comp[m - 1]] + [
-            z * comp[i] + comp[i - 1] for i in range(1, m)
-        ]
-        out.append(GenRedeiVec(m, n, z, alpha, tuple(comp)))
-    return out
-
-
-def gen_redei_oracle(z, alpha, m: int, n: int) -> GenRedeiVec:
-    """Independent construction: expand (z + y)^n and reduce y^m -> alpha.
-
-    The binomial term C(n, k) z^(n-k) y^k lands in component k mod m with
-    alpha^(k div m) attached; no matrix is involved.
-    """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    z, alpha = Poly(z), Poly(alpha)
-    z_pow = [ONE]
-    for _ in range(n):
-        z_pow.append(z_pow[-1] * z)
-    a_pow = [ONE]
-    for _ in range(n // m):
-        a_pow.append(a_pow[-1] * alpha)
-    comps = [ZERO] * m
-    for k in range(n + 1):
-        comps[k % m] = comps[k % m] + z_pow[n - k] * a_pow[k // m] * comb(n, k)
-    return GenRedeiVec(m, n, z, alpha, tuple(comps))
-
-
-def _exact_root(base: int, m: int) -> int | None:
-    """The integer m-th root of base, if base is an exact m-th power."""
-    if base < 0:
-        if m % 2 == 0:
-            return None
-        k = _exact_root(-base, m)
-        return -k if k is not None else None
-    k = round(base ** (1.0 / m)) if base else 0
-    while k**m > base:
-        k -= 1
-    while (k + 1) ** m <= base:
-        k += 1
-    return k if k**m == base else None
-
-
-def _norm_power(base: int, m: int, n: int) -> int:
-    """base^(n/m) as an exact integer, or raise IrrationalNormalizer."""
-    if n % m == 0:
-        return base ** (n // m)
-    k = _exact_root(base, m)
-    if k is None:
+def solve_m(f, r: int, m: int, n: int) -> PellMSolution:
+    """Normalized degree-m solution for R = (-f)^m + r at index n."""
+    check_degree_index(m, n)
+    if r == 0:
+        raise ZeroR("r must be a nonzero integer")
+    base = r if m % 2 else -r
+    scale = norm_power(base, m, n)
+    if scale is None:
         raise IrrationalNormalizer(
             f"{base}^({n}/{m}) is not rational; need n = 0 (mod {m}) or an exact root"
         )
-    return k**n
-
-
-def solve_m(f, r: int, m: int, n: int) -> PellMSolution:
-    """Normalized degree-m solution for R = (-f)^m + r at index n."""
-    if r == 0:
-        raise ZeroR("r must be a nonzero integer")
     f = Poly(f)
     alpha = (-f) ** m + r
-    base = r if m % 2 else -r
-    scale = _norm_power(base, m, n)
     vec = gen_redei(f, alpha, m, n)
     sols = tuple(a / scale for a in vec.A)
     return PellMSolution(
@@ -174,10 +86,9 @@ def classify_m(r: int, m: int, n: int) -> bool:
     answer does not assert non-integrality (for odd m and r = 1 the
     normalizer is literally 1, so every index is integral).
     """
+    check_degree_index(m, n)
     if r == 0:
         raise ZeroR("r must be a nonzero integer")
-    if m < 2:
-        raise ValueError("m must be at least 2")
     if r == -1:
         return True
     if n % m != 0:
@@ -220,6 +131,7 @@ def divisibility_probe(f, m: int, n_max: int) -> DivisibilityReport:
     This is the mechanical content behind the prime-m integrality case: each
     block of m steps contributes one more factor of m to the whole vector.
     """
+    check_degree_index(m, n_max)
     if not _is_prime(m):
         raise NotPrime(f"m={m} is not prime")
     f = Poly(f)

@@ -7,8 +7,6 @@ and the twisted-circulant builder used by the degree-m Pell equation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polyring import DomainError, ONE, Poly, ZERO
 
 
@@ -127,37 +125,27 @@ class PolyMatrix:
     def char_poly(self) -> tuple[Poly, ...]:
         """Coefficients of det(tI - self) as polynomials in x, ascending in t.
 
-        The degree in t is exactly dim, so evaluating the determinant at
-        dim+1 integer values of t and interpolating recovers it exactly
-        without a bivariate ring.
+        Division-free Berkowitz: with the leading k x k block A_k, the column
+        c and row r bordering it and the corner a, the coefficients of
+        det(tI - A_(k+1)) (descending in t) are the Toeplitz product of
+        (1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c) with those of
+        det(tI - A_k).  Only ring operations are used.
         """
-        n = self.dim
-        nodes = range(n + 1)
-        values = []
-        for t in nodes:
-            shifted = PolyMatrix(
-                [
-                    [(Poly(t) - e) if i == j else -e for j, e in enumerate(row)]
-                    for i, row in enumerate(self.rows)
-                ]
-            )
-            values.append(shifted.det())
-        coeffs = [ZERO] * (n + 1)
-        for k in nodes:
-            # Lagrange basis for node k over the integer nodes, as exact rationals.
-            basis = [Fraction(1)]
-            denom = 1
-            for i in nodes:
-                if i != k:
-                    basis = [Fraction(0)] + basis
-                    for j in range(len(basis) - 1):
-                        basis[j] -= i * basis[j + 1]
-                    denom *= k - i
-            for j, b in enumerate(basis):
-                scale = b / denom
-                if scale:
-                    coeffs[j] = coeffs[j] + values[k] * scale
-        return tuple(coeffs)
+        rows = self.rows
+        coeffs = [ONE, -rows[0][0]]
+        for k in range(1, self.dim):
+            row = rows[k][:k]
+            vec = [rows[i][k] for i in range(k)]
+            toeplitz = [ONE, -rows[k][k]]
+            for j in range(k):
+                if j:
+                    vec = [_dot(rows[i][:k], vec) for i in range(k)]
+                toeplitz.append(-_dot(row, vec))
+            coeffs = [
+                sum((toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1)), ZERO)
+                for i in range(k + 2)
+            ]
+        return tuple(reversed(coeffs))
 
     # -- JSON form -------------------------------------------------------------
 
@@ -167,6 +155,10 @@ class PolyMatrix:
     @classmethod
     def from_json(cls, data) -> PolyMatrix:
         return cls([[Poly.from_json(e) for e in row] for row in data])
+
+
+def _dot(a, b) -> Poly:
+    return sum((x * y for x, y in zip(a, b) if x and y), ZERO)
 
 
 def _det_cofactor(rows) -> Poly:

@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import isqrt
 
 #: Degree of the zero polynomial.  A real sentinel (not -1) so that degree
-#: comparisons work but accidental arithmetic on it is loud.
+#: comparisons work and it never equals a real degree.  Arithmetic on it is
+#: silent (-inf + 1 is -inf, -inf * 0 is nan), so check for it first.
 NEG_INF = float("-inf")
 
 

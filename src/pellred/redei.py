@@ -1,13 +1,16 @@
-"""Redei polynomials N_n(alpha, z) and D_n(alpha, z).
+"""Redei polynomials of every degree m >= 2: the one engine.
 
-The pair collects the two components of (z + sqrt(alpha))^n:
+The generalized Redei vector (A_n^(0), ..., A_n^(m-1)) collects the
+components of (z + alpha^(1/m))^n on the power basis of alpha^(1/m).  At
+m = 2 it is the classical pair
 
-    (z + sqrt(alpha))^n = N_n + D_n * sqrt(alpha)
+    (z + sqrt(alpha))^n = N_n + D_n * sqrt(alpha),   N_n = A_n^(0), D_n = A_n^(1)
 
-Three genuinely independent constructions are provided so they can check one
-another: the order-2 linear recurrence (production path), powers of the 2x2
-matrix [[z, alpha], [1, z]] (first column), and the binomial closed form
-(designated oracle).  All of them satisfy the norm identity
+and ``RedeiPair`` is that view of it.  Three genuinely independent
+constructions are provided so they can check one another: the componentwise
+step rule (production path), powers of the m x m step matrix (first column),
+and the binomial expansion (designated oracle).  At m = 2 all of them satisfy
+the norm identity
 
     N_n^2 - alpha * D_n^2 == (z^2 - alpha)^n
 
@@ -19,8 +22,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .polyring import ONE, Poly, ZERO
+from .polyring import DomainError, ONE, Poly, ZERO
 from .polymat import PolyMatrix
+
+
+class InvalidIndex(DomainError):
+    """The degree m is below 2 or the index n is negative."""
+
+
+def check_degree_index(m: int, n: int) -> None:
+    """Raise InvalidIndex unless m >= 2 and n >= 0."""
+    if m < 2 or n < 0:
+        raise InvalidIndex(f"need m >= 2 and n >= 0, got m={m}, n={n}")
+
+
+@dataclass(frozen=True)
+class GenRedeiVec:
+    """The vector (A_n^(0), ..., A_n^(m-1)) for given (z, alpha, m, n)."""
+
+    m: int
+    n: int
+    z: Poly
+    alpha: Poly
+    A: tuple[Poly, ...]
 
 
 @dataclass(frozen=True)
@@ -34,61 +58,91 @@ class RedeiPair:
     D: Poly
 
 
-def redei_recurrence(alpha, z, n: int) -> RedeiPair:
-    """(N_n, D_n) by the order-2 recurrence u_k = 2z*u_{k-1} - (z^2-alpha)*u_{k-2}."""
-    return redei_sequence(alpha, z, n)[n]
+def step_matrix(z, alpha, m: int) -> PolyMatrix:
+    """The m x m multiply-by-(z + alpha^(1/m)) matrix on the power basis."""
+    check_degree_index(m, 0)
+    z, alpha = Poly(z), Poly(alpha)
+    rows = [[ZERO] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = z
+    for i in range(1, m):
+        rows[i][i - 1] = ONE
+    rows[0][m - 1] = alpha
+    return PolyMatrix(rows)
 
 
-def redei_sequence(alpha, z, n_max: int) -> list[RedeiPair]:
-    """All pairs for n = 0..n_max, sharing one recurrence chain."""
-    alpha, z = Poly(alpha), Poly(z)
-    pairs = [RedeiPair(0, alpha, z, ONE, ZERO)]
-    if n_max == 0:
-        return pairs
-    pairs.append(RedeiPair(1, alpha, z, z, ONE))
-    two_z = z * 2
-    c = z * z - alpha
-    for k in range(2, n_max + 1):
-        prev, prev2 = pairs[-1], pairs[-2]
-        pairs.append(
-            RedeiPair(
-                k,
-                alpha,
-                z,
-                two_z * prev.N - c * prev2.N,
-                two_z * prev.D - c * prev2.D,
-            )
-        )
-    return pairs
+def gen_redei(z, alpha, m: int, n: int) -> GenRedeiVec:
+    """The vector as the first column of the n-th step-matrix power."""
+    check_degree_index(m, n)
+    z, alpha = Poly(z), Poly(alpha)
+    power = step_matrix(z, alpha, m).pow(n)
+    return GenRedeiVec(m, n, z, alpha, power.column(0))
 
 
-def redei_matrix(alpha, z, n: int) -> RedeiPair:
-    """(N_n, D_n) read off the first column of [[z, alpha], [1, z]]^n."""
-    alpha, z = Poly(alpha), Poly(z)
-    power = PolyMatrix([[z, alpha], [ONE, z]]).pow(n)
-    return RedeiPair(n, alpha, z, power.entry(0, 0), power.entry(1, 0))
+def gen_redei_sequence(z, alpha, m: int, n_max: int) -> list[GenRedeiVec]:
+    """Vectors for n = 0..n_max via the componentwise step rule.
 
-
-def redei_closed_form(alpha, z, n: int) -> RedeiPair:
-    """(N_n, D_n) by direct binomial sums; independent of the other two paths.
-
-    N_n = sum_k C(n, 2k)   * alpha^k * z^(n-2k)
-    D_n = sum_k C(n, 2k+1) * alpha^k * z^(n-2k-1)
+    A_{n+1}^(0) = z*A_n^(0) + alpha*A_n^(m-1);
+    A_{n+1}^(i) = z*A_n^(i) + A_n^(i-1) for i >= 1.
     """
-    alpha, z = Poly(alpha), Poly(z)
+    check_degree_index(m, n_max)
+    z, alpha = Poly(z), Poly(alpha)
+    comp = [ONE] + [ZERO] * (m - 1)
+    out = [GenRedeiVec(m, 0, z, alpha, tuple(comp))]
+    for n in range(1, n_max + 1):
+        comp = [z * comp[0] + alpha * comp[m - 1]] + [
+            z * comp[i] + comp[i - 1] for i in range(1, m)
+        ]
+        out.append(GenRedeiVec(m, n, z, alpha, tuple(comp)))
+    return out
+
+
+def gen_redei_oracle(z, alpha, m: int, n: int) -> GenRedeiVec:
+    """Independent construction: expand (z + y)^n and reduce y^m -> alpha.
+
+    The binomial term C(n, k) z^(n-k) y^k lands in component k mod m with
+    alpha^(k div m) attached; no matrix is involved.
+    """
+    check_degree_index(m, n)
+    z, alpha = Poly(z), Poly(alpha)
     z_pow = [ONE]
     for _ in range(n):
         z_pow.append(z_pow[-1] * z)
     a_pow = [ONE]
-    for _ in range(n // 2):
+    for _ in range(n // m):
         a_pow.append(a_pow[-1] * alpha)
-    num = ZERO
-    den = ZERO
-    for k in range(n // 2 + 1):
-        num = num + a_pow[k] * z_pow[n - 2 * k] * comb(n, 2 * k)
-        if 2 * k + 1 <= n:
-            den = den + a_pow[k] * z_pow[n - 2 * k - 1] * comb(n, 2 * k + 1)
-    return RedeiPair(n, alpha, z, num, den)
+    comps = [ZERO] * m
+    for k in range(n + 1):
+        comps[k % m] = comps[k % m] + z_pow[n - k] * a_pow[k // m] * comb(n, k)
+    return GenRedeiVec(m, n, z, alpha, tuple(comps))
+
+
+def _pair(vec: GenRedeiVec) -> RedeiPair:
+    return RedeiPair(vec.n, vec.alpha, vec.z, *vec.A)
+
+
+def redei_sequence(alpha, z, n_max: int) -> list[RedeiPair]:
+    """All pairs for n = 0..n_max, sharing one step-rule chain."""
+    return [_pair(vec) for vec in gen_redei_sequence(z, alpha, 2, n_max)]
+
+
+def redei_recurrence(alpha, z, n: int) -> RedeiPair:
+    """(N_n, D_n) from the step rule at m = 2."""
+    return redei_sequence(alpha, z, n)[n]
+
+
+def redei_matrix(alpha, z, n: int) -> RedeiPair:
+    """(N_n, D_n) read off the first column of [[z, alpha], [1, z]]^n."""
+    return _pair(gen_redei(z, alpha, 2, n))
+
+
+def redei_closed_form(alpha, z, n: int) -> RedeiPair:
+    """(N_n, D_n) by the binomial expansion; independent of the other two paths.
+
+    N_n = sum_k C(n, 2k)   * alpha^k * z^(n-2k)
+    D_n = sum_k C(n, 2k+1) * alpha^k * z^(n-2k-1)
+    """
+    return _pair(gen_redei_oracle(z, alpha, 2, n))
 
 
 def norm_identity_holds(pair: RedeiPair) -> bool:
@@ -96,3 +150,31 @@ def norm_identity_holds(pair: RedeiPair) -> bool:
     lhs = pair.N.square() - pair.alpha * pair.D.square()
     rhs = (pair.z.square() - pair.alpha) ** pair.n
     return lhs == rhs
+
+
+def _iroot(a: int, m: int) -> int:
+    """floor(a^(1/m)) for a >= 0, by integer Newton iteration from above."""
+    if a < 2:
+        return a
+    x = 1 << -(-a.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + a // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
+def norm_power(base: int, m: int, n: int) -> int | None:
+    """base^(n/m) as an exact integer, or None when it is irrational.
+
+    This is the normalizer that turns a Redei vector whose norm is base^n
+    into a solution of norm 1.  It is rational exactly when m divides n or
+    base is a perfect m-th power (of either sign for odd m).
+    """
+    check_degree_index(m, n)
+    if n % m == 0:
+        return base ** (n // m)
+    k = _iroot(abs(base), m)
+    if k**m != abs(base) or (base < 0 and m % 2 == 0):
+        return None
+    return (k if base > 0 else -k) ** n

@@ -139,6 +139,25 @@ class TestExitCodes:
             main(["factorize", "x^2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve-m", "-f", "x", "-r", "1", "-m", "1", "-n", "1"],
+            ["solve-m", "-f", "x", "-r", "1", "-m", "0", "-n", "1"],
+            ["solve-m", "-f", "x", "-r", "1", "-m", "3", "-n", "-3"],
+            ["redei", "--alpha", "x", "--z", "1", "-n", "-3"],
+            ["solve", "-f", "x", "-d", "1", "-n", "-2"],
+            ["classify", "-r", "1", "-m", "1", "-n", "2"],
+            ["probe", "-f", "x", "-m", "3", "--n-max", "-2"],
+            ["table", "--alpha", "x", "--z", "1", "--n-max", "-5"],
+        ],
+    )
+    def test_invalid_index_is_one(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("InvalidIndex: ")
+        assert captured.out == ""
+
     def test_verify_needs_a_target(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--P", "1", "--Q", "0"])

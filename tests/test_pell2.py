@@ -20,7 +20,7 @@ from pellred.pell2 import (
     solve_square_shift,
     verify,
 )
-from pellred.redei import redei_recurrence, redei_sequence
+from pellred.redei import InvalidIndex, redei_recurrence, redei_sequence
 
 F_SET = (Poly("x"), Poly("x^2"), Poly("x^3+x"))
 
@@ -78,6 +78,13 @@ class TestSolve:
         s = solve(PellProblem(Poly("x"), -4), 3)
         assert s.normalizer == 8
         assert verify(s.P, s.Q, Poly("x^2-4"))
+
+    def test_negative_index_rejected(self):
+        prob = PellProblem(Poly("x"), 1)
+        with pytest.raises(InvalidIndex):
+            solve(prob, -2)
+        with pytest.raises(InvalidIndex):
+            solve_sequence(prob, -1)
 
     def test_sequence_matches_solve(self):
         prob = PellProblem(Poly("x^2+1"), 2)
@@ -194,6 +201,10 @@ class TestNathanson:
     def test_unsupported(self):
         with pytest.raises(UnsupportedD):
             nathanson(3, 2)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(InvalidIndex):
+            nathanson(-1, -1)
 
     def test_matches_redei_for_minus_one(self):
         for n in range(16):

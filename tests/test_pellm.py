@@ -1,4 +1,6 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -18,7 +20,23 @@ from pellred.pellm import (
     step_matrix,
     verify_m,
 )
-from pellred.redei import redei_recurrence
+from pellred.redei import InvalidIndex, redei_recurrence
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the calling thread after ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _rand_poly(rng, size=4, bound=5):
@@ -127,6 +145,30 @@ class TestSolveM:
         s = solve_m(Poly("x"), 8, 3, 1)
         assert s.normalizer == 2
         assert verify_m(s)
+
+    def test_large_square_root(self):
+        k = 3**20 * 10**20 + 7
+        with time_limit(1):
+            assert solve_m(Poly("x"), -(k**2), 2, 1).normalizer == k
+
+    def test_large_cube_root(self):
+        with time_limit(1):
+            s = solve_m(Poly("x"), 2**1200, 3, 1)
+            assert s.normalizer == 2**400
+            assert verify_m(s)
+
+    def test_huge_irrational_base(self):
+        with time_limit(1), pytest.raises(IrrationalNormalizer):
+            solve_m(Poly("x"), 10**400 + 1, 3, 1)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (0, 1), (3, -3)])
+    def test_invalid_index(self, m, n):
+        with pytest.raises(InvalidIndex):
+            solve_m(Poly("x"), 1, m, n)
+        with pytest.raises(InvalidIndex):
+            classify_m(1, m, n)
+        with pytest.raises(InvalidIndex):
+            divisibility_probe(Poly("x"), m, n)
 
 
 class TestClassifyM:

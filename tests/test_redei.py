@@ -1,15 +1,22 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pellred.polyring import ONE, Poly, ZERO
 from pellred.redei import (
+    InvalidIndex,
     RedeiPair,
+    gen_redei,
+    gen_redei_oracle,
+    gen_redei_sequence,
     norm_identity_holds,
+    norm_power,
     redei_closed_form,
     redei_matrix,
     redei_recurrence,
     redei_sequence,
+    step_matrix,
 )
 
 inputs = st.lists(st.integers(min_value=-10, max_value=10), max_size=5).map(Poly)
@@ -126,3 +133,47 @@ class TestDegreeLaw:
                 assert pair.N.degree == pair.n * m
                 if pair.n >= 1:
                     assert pair.D.degree == (pair.n - 1) * m
+
+
+class TestInvalidIndex:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: redei_recurrence(Poly("x"), ONE, -1),
+            lambda: redei_sequence(Poly("x"), ONE, -1),
+            lambda: redei_matrix(Poly("x"), ONE, -1),
+            lambda: redei_closed_form(Poly("x"), ONE, -1),
+            lambda: gen_redei_oracle(Poly("x"), ONE, 3, -2),
+            lambda: gen_redei(Poly("x"), ONE, 1, 2),
+            lambda: gen_redei_sequence(Poly("x"), ONE, 0, 2),
+            lambda: step_matrix(Poly("x"), ONE, 1),
+            lambda: norm_power(4, 2, -1),
+            lambda: norm_power(4, 0, 1),
+        ],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(InvalidIndex):
+            call()
+
+
+class TestNormPower:
+    def test_matches_root_search(self):
+        for m in (2, 3, 4, 5):
+            roots = {}
+            for k in range(-40, 41):
+                if k >= 0 or m % 2:
+                    roots.setdefault(k**m, k)
+            for base in range(-300, 301):
+                for n in range(8):
+                    if n % m == 0:
+                        want = base ** (n // m)
+                    else:
+                        want = roots[base] ** n if base in roots else None
+                    assert norm_power(base, m, n) == want, (base, m, n)
+
+    def test_large_roots_are_exact(self):
+        k = 3**20 * 10**20 + 7
+        assert norm_power(k**2, 2, 1) == k
+        assert norm_power(k**2 + 1, 2, 1) is None
+        assert norm_power(-(k**5), 5, 3) == -(k**3)
+        assert norm_power(10**400 + 1, 3, 1) is None
