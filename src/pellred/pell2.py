@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .polyring import DomainError, NEG_INF, ONE, Poly, X
+from .polyring import DomainError, NEG_INF, ONE, Poly, X, common_denominator
 from .redei import RedeiPair, check_degree_index, norm_power, redei_recurrence, redei_sequence
 
 
@@ -139,10 +138,7 @@ def verify(P, Q, D) -> bool:
     (L*P)^2 - D*(L*Q)^2 == L^2.
     """
     P, Q, D = Poly(P), Poly(Q), Poly(D)
-    scale = 1
-    for c in (*P.coeffs, *Q.coeffs):
-        if isinstance(c, Fraction):
-            scale = lcm(scale, c.denominator)
+    scale = common_denominator(P, Q)
     Pi = P * scale
     Qi = Q * scale
     return Pi.square() - D * Qi.square() == scale * scale

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polyring import DomainError, Poly
+from .polyring import DomainError, Poly, common_denominator
 from .polymat import build_circulant
 from .redei import (  # the engine; its names stay importable from here
     GenRedeiVec,
@@ -97,8 +97,16 @@ def classify_m(r: int, m: int, n: int) -> bool:
 
 
 def verify_m(sol: PellMSolution) -> bool:
-    """Exact check that the twisted circulant of the solution has det 1."""
-    return build_circulant(sol.sols, sol.R).det() == 1
+    """Exact check that the twisted circulant of the solution has det 1.
+
+    Every entry of the circulant is linear in the sols, so with L the lcm of
+    their denominators det(circ(L*sols)) = L^m * det(circ(sols)).  Checking
+    det(circ(L*sols)) == L^m keeps the elimination in integer arithmetic.
+    """
+    sols = [Poly(s) for s in sol.sols]
+    scale = common_denominator(*sols)
+    cleared = [s * scale for s in sols]
+    return build_circulant(cleared, sol.R).det() == scale ** len(cleared)
 
 
 def _is_prime(m: int) -> bool:

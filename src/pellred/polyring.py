@@ -10,7 +10,7 @@ are immutable values: every operation returns a new canonical polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 #: Degree of the zero polynomial.  A real sentinel (not -1) so that degree
 #: comparisons work and it never equals a real degree.  Arithmetic on it is
@@ -37,15 +37,81 @@ class ParseError(ValueError):
 def _canon(coeffs) -> tuple:
     out = []
     for c in coeffs:
-        if isinstance(c, Fraction):
-            if c.denominator == 1:
-                c = c.numerator
-        elif not isinstance(c, int):
-            raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
+        # Exact-type test first: isinstance(c, Fraction) goes through the
+        # numbers ABCs, which costs several times more on an int.
+        if type(c) is not int:
+            if isinstance(c, Fraction):
+                if c.denominator == 1:
+                    c = c.numerator
+            elif not isinstance(c, int):
+                raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
         out.append(c)
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+#: Shortest operand, in coefficients, from which a product of two integer
+#: polynomials goes through Kronecker substitution: the shortest length at
+#: which it was no slower than schoolbook for any coefficient size measured
+#: (8 to 1024 bits; crossover grid in CHANGES.md).
+KRONECKER_MIN_LEN = 32
+
+
+def _mul_schoolbook(a, b) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                if cb:
+                    out[j] += ca * cb
+    return out
+
+
+def _square_schoolbook(cs) -> list:
+    """Schoolbook square doing only the symmetric half of the products."""
+    out = [0] * (2 * len(cs) - 1)
+    for i, ci in enumerate(cs):
+        if ci:
+            out[2 * i] += ci * ci
+            twice = ci * 2
+            for j in range(i + 1, len(cs)):
+                cj = cs[j]
+                if cj:
+                    out[i + j] += twice * cj
+    return out
+
+
+def _mul_kronecker(a, b) -> list:
+    """Product of two integer coefficient sequences by Kronecker substitution.
+
+    Both operands are evaluated at x = 2^(8w) by packing their coefficients
+    into w-byte digits, the two integers are multiplied by CPython's
+    Karatsuba, and the digits of the product are its coefficients (Harvey
+    2009, J. Symb. Comp. 44).  w is chosen so that every product coefficient
+    lies strictly between -2^(8w-1) and 2^(8w-1); adding that half-range to
+    each digit makes it non-negative, as byte packing needs, and the same
+    offset is subtracted again as one integer.
+    """
+    bits = (
+        max(abs(c) for c in a).bit_length()
+        + max(abs(c) for c in b).bit_length()
+        + min(len(a), len(b)).bit_length()
+    )
+    w = bits // 8 + 1
+    half = 1 << (8 * w - 1)
+    half_digit = half.to_bytes(w, "little")
+
+    def pack(cs) -> int:
+        digits = b"".join((c + half).to_bytes(w, "little") for c in cs)
+        return int.from_bytes(digits, "little") - int.from_bytes(half_digit * len(cs), "little")
+
+    va = pack(a)
+    product = va * (va if b is a else pack(b))
+    size = len(a) + len(b) - 1
+    product += int.from_bytes(half_digit * size, "little")
+    digits = product.to_bytes(w * size, "little")
+    return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * size, w)]
 
 
 class Poly:
@@ -117,10 +183,10 @@ class Poly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> Poly:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -135,10 +201,10 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other) -> Poly:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Poly(other)
-        elif not isinstance(other, Poly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> Poly:
@@ -149,13 +215,10 @@ class Poly:
             a, b = self.coeffs, other.coeffs
             if not a or not b:
                 return Poly()
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b, i):
-                        if cb:
-                            out[j] += ca * cb
-            return Poly(out)
+            short = min(len(a), len(b))
+            if short >= KRONECKER_MIN_LEN and self.is_integral() and other.is_integral():
+                return Poly(_mul_kronecker(a, b))
+            return Poly(_mul_schoolbook(a, b))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly()
@@ -165,25 +228,23 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> Poly:
+        if type(scalar) is int and scalar and self.is_integral():
+            # Each quotient built once: an int where it divides exactly.
+            cs = self.coeffs
+            return Poly([c // scalar if not c % scalar else Fraction(c, scalar) for c in cs])
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         return self * (Fraction(1) / scalar)
 
     def square(self) -> Poly:
-        """self * self, doing only the symmetric half of the schoolbook products."""
+        """self * self: one big-integer squaring for long integer polynomials,
+        else only the symmetric half of the schoolbook products."""
         cs = self.coeffs
         if not cs:
             return Poly()
-        out = [0] * (2 * len(cs) - 1)
-        for i, ci in enumerate(cs):
-            if ci:
-                out[2 * i] += ci * ci
-                twice = ci * 2
-                for j in range(i + 1, len(cs)):
-                    cj = cs[j]
-                    if cj:
-                        out[i + j] += twice * cj
-        return Poly(out)
+        if len(cs) >= KRONECKER_MIN_LEN and self.is_integral():
+            return Poly(_mul_kronecker(cs, cs))
+        return Poly(_square_schoolbook(cs))
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
@@ -206,13 +267,20 @@ class Poly:
         da, db = len(self.coeffs) - 1, len(other.coeffs) - 1
         if da < db:
             return Poly(), self
-        inv = Fraction(1) / other.coeffs[-1]
+        lead = other.coeffs[-1]
+        int_lead = type(lead) is int
+        inv = Fraction(1) / lead
         rem = list(self.coeffs)
         quot = [0] * (da - db + 1)
         for k in range(da - db, -1, -1):
             c = rem[k + db]
             if c:
-                t = c * inv
+                # An integer quotient when it is exact, so integer division
+                # (as in Bareiss elimination) never builds a Fraction.
+                if int_lead and type(c) is int and not c % lead:
+                    t = c // lead
+                else:
+                    t = c * inv
                 quot[k] = t
                 for j in range(db):
                     cj = other.coeffs[j]
@@ -316,6 +384,20 @@ ONE = Poly([1])
 X = Poly([0, 1])
 
 
+def common_denominator(*polys: Poly) -> int:
+    """The lcm of the denominators of all coefficients of ``polys``.
+
+    The least L > 0 for which every L*p is an integer polynomial; verifiers
+    scale by it so that their checks run in integer arithmetic.
+    """
+    scale = 1
+    for p in polys:
+        for c in p.coeffs:
+            if type(c) is not int:
+                scale = lcm(scale, c.denominator)
+    return scale
+
+
 def format_poly(p: Poly) -> str:
     """Canonical text: descending powers, explicit signs, coefficient 1 and
     exponent 1 omitted, e.g. ``4x^6-3x^2``.
@@ -336,6 +418,12 @@ def format_poly(p: Poly) -> str:
         sign = "-" if c < 0 else ("+" if parts else "")
         parts.append(sign + body)
     return "".join(parts)
+
+
+#: Largest exponent ``parse_poly`` accepts.  The parsed polynomial is a dense
+#: list of degree + 1 coefficients, so an unbounded exponent ("x^1000000000")
+#: would ask for gigabytes before any check could run.
+MAX_PARSE_DEGREE = 10**5
 
 
 def parse_poly(text: str) -> Poly:
@@ -366,7 +454,12 @@ def parse_poly(text: str) -> Poly:
         start = i
         while i < end and text[i].isdigit():
             i += 1
-        return int(text[start:i]) if i > start else None
+        if i == start:
+            return None
+        try:
+            return int(text[start:i])
+        except ValueError:  # a non-decimal digit such as '²', or too many digits
+            raise ParseError("malformed number", start) from None
 
     def read_term(sign: int):
         nonlocal i
@@ -382,9 +475,12 @@ def parse_poly(text: str) -> Poly:
             expo = 1
             if i < end and text[i] == "^":
                 i += 1
+                start = i
                 e = read_uint()
                 if e is None:
                     raise ParseError("expected exponent digits", i)
+                if e > MAX_PARSE_DEGREE:
+                    raise ParseError(f"exponent above the maximum degree {MAX_PARSE_DEGREE}", start)
                 expo = e
         elif coeff is None:
             raise ParseError("expected a coefficient or 'x'", i)

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pellred.cli import emit_table, main
 from pellred.polyring import Poly
@@ -162,3 +165,66 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--P", "1", "--Q", "0"])
         assert exc.value.code == 2
+
+
+# -- fuzzing main() with random argv --------------------------------------------
+
+OPTIONS_OF = {
+    "redei": ["--alpha", "--z", "-n"],
+    "table": ["--alpha", "--z", "--n-max"],
+    "solve": ["-f", "-d", "-n"],
+    "solve-m": ["-f", "-r", "-m", "-n"],
+    "verify": ["--P", "--Q", "--D", "-f", "-d"],
+    "identify": ["--P", "--Q", "-f", "-d"],
+    "classify": ["-d", "-r", "-m", "-n"],
+    "probe": ["-f", "-m", "--n-max"],
+}
+POLY_OPTIONS = ["--alpha", "--z", "-f", "--P", "--Q", "--D"]
+INT_OPTIONS = ["-d", "-n", "-r", "-m", "--n-max"]
+
+# Indices and degrees stay small so that no example starts heavy work.
+small_int_text = st.integers(min_value=-3, max_value=7).map(str)
+valid_poly_text = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=4).map(
+    lambda cs: str(Poly(cs))
+)
+# Weighted 3:1 towards well-formed text so that most examples reach the solvers.
+poly_text = st.one_of(
+    valid_poly_text,
+    valid_poly_text,
+    valid_poly_text,
+    st.text(alphabet="x^+-0123456789 ²*y", max_size=3),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS_OF) + ["factorize", "--json"]))
+    own = OPTIONS_OF.get(command, INT_OPTIONS)
+    names = [n for n in own if draw(st.integers(0, 7))]
+    names += draw(st.lists(st.sampled_from(own + ["--json", "--help"]), max_size=1))
+    argv = [command]
+    for name in names:
+        if name in POLY_OPTIONS:
+            value = draw(poly_text)
+            # The attached spelling lets a value start with a minus sign.
+            argv.append(f"{name}={value}" if name.startswith("--") else name + value)
+        elif name in INT_OPTIONS:
+            argv += [name, draw(small_int_text)]
+        else:
+            argv.append(name)
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(cli_argv())
+    def test_exit_code_and_no_traceback(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        if code == 1:
+            assert err.getvalue().split(":")[0].isidentifier(), (argv, err.getvalue())

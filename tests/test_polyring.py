@@ -1,12 +1,22 @@
 import doctest
 import json
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pellred.polyring
 from pellred.polyring import NEG_INF, NotIntegral, ONE, ParseError, Poly, X, ZERO, parse_poly
+from pellred.polyring import (
+    KRONECKER_MIN_LEN,
+    MAX_PARSE_DEGREE,
+    _canon,
+    _mul_kronecker,
+    _mul_schoolbook,
+    _square_schoolbook,
+    common_denominator,
+)
 
 
 def test_doctests():
@@ -189,3 +199,111 @@ class TestJson:
     @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=6).map(Poly))
     def test_roundtrip_through_text(self, p):
         assert Poly.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+
+class TestParseLimits:
+    def test_degree_at_the_cap(self):
+        assert parse_poly(f"x^{MAX_PARSE_DEGREE}").degree == MAX_PARSE_DEGREE
+
+    def test_degree_above_the_cap(self):
+        with pytest.raises(ParseError, match="above the maximum degree"):
+            parse_poly(f"2+x^{MAX_PARSE_DEGREE + 1}")
+
+    @pytest.mark.parametrize("bad", ["²", "3²", "x^²", "x+²"])
+    def test_non_decimal_digits(self, bad):
+        with pytest.raises(ParseError, match="malformed number"):
+            parse_poly(bad)
+
+    def test_too_many_digits(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int string-conversion limit")
+        with pytest.raises(ParseError, match="malformed number"):
+            parse_poly("1" * (limit + 1))
+
+
+wide_coeff = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(2**1000), max_value=2**1000),
+)
+
+
+def int_coeffs(length):
+    """Coefficient lists of exactly ``length`` terms (nonzero leading)."""
+    return st.lists(wide_coeff, min_size=length, max_size=length).map(
+        lambda cs: cs[:-1] + [cs[-1] or -1]
+    )
+
+
+LENGTHS = [1, 3, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 2 * KRONECKER_MIN_LEN + 5]
+any_length = st.sampled_from(LENGTHS).flatmap(int_coeffs)
+
+
+class TestKronecker:
+    """The Kronecker kernel against the schoolbook loops it stands in for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_length, any_length)
+    def test_mul_matches_schoolbook(self, a, b):
+        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_length)
+    def test_square_matches_schoolbook(self, a):
+        assert _mul_kronecker(a, a) == _square_schoolbook(a)
+
+    def test_extreme_coefficients(self):
+        # All coefficients at +-2^k make every product coefficient reach the
+        # bound that sets the digit width.
+        for k in (0, 7, 8, 63, 64):
+            for sign in (1, -1):
+                a = [sign * 2**k] * KRONECKER_MIN_LEN
+                b = [-(2**k)] * (KRONECKER_MIN_LEN + 3)
+                assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+                assert _mul_kronecker(a, a) == _square_schoolbook(a)
+
+    def test_fraction_operands_keep_schoolbook(self):
+        p = Poly([Fraction(1, 3)] + [1] * KRONECKER_MIN_LEN)
+        q = Poly(list(range(1, KRONECKER_MIN_LEN + 2)))
+        assert (p * q).coeffs == _canon(_mul_schoolbook(p.coeffs, q.coeffs))
+        assert p.square() == p * p
+
+
+class TestIntegerDivision:
+    def test_exact_integer_quotient_stays_int(self):
+        a = Poly("6x^3-4x^2+10x-8") * Poly("-3x^2+x-5")
+        q, r = divmod(a, Poly("-3x^2+x-5"))
+        assert q == Poly("6x^3-4x^2+10x-8") and r == ZERO
+        assert all(type(c) is int for c in q.coeffs)
+
+    def test_inexact_integer_quotient_is_fraction(self):
+        q, r = divmod(Poly("x^2+1"), Poly("2x+1"))
+        assert q == Poly([Fraction(-1, 4), Fraction(1, 2)])
+        assert r == Poly([Fraction(5, 4)])
+
+    @given(polys, st.integers(min_value=-12, max_value=12).filter(bool))
+    def test_scalar_division_matches_inverse_product(self, p, s):
+        assert (p / s).coeffs == (p * Fraction(1, s)).coeffs
+        assert (p * s / s).coeffs == p.coeffs
+
+    def test_scalar_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            Poly("x+1") / 0
+
+    @given(polys, polys.filter(lambda p: not p.is_zero()))
+    def test_division_identity(self, a, b):
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
+
+class TestCommonDenominator:
+    def test_integer_polys(self):
+        assert common_denominator(Poly("x^2+3"), ZERO) == 1
+        assert common_denominator() == 1
+
+    def test_lcm_over_all_coefficients(self):
+        p = Poly([Fraction(1, 4), 2])
+        q = Poly([Fraction(5, 6)])
+        assert common_denominator(p, q) == 12
+        assert (p * 12).is_integral() and (q * 12).is_integral()
