@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .polyring import DomainError, ParseError, Poly, parse_poly
+from .polyring import DomainError, ParseError, Poly, decimal_str, parse_poly
 from .redei import redei_recurrence, redei_sequence
 from .pell2 import PellProblem, classify, identify_solution, solve, verify
 from .pellm import classify_m, divisibility_probe, solve_m
@@ -118,7 +118,7 @@ def _cmd_solve(args, error) -> int:
         "P": sol.P.to_json(),
         "Q": sol.Q.to_json(),
         "integral": sol.integral,
-        "normalizer": str(sol.normalizer),
+        "normalizer": decimal_str(sol.normalizer),
     }
     return _emit(
         args,
@@ -126,7 +126,7 @@ def _cmd_solve(args, error) -> int:
         f"P = {sol.P}",
         f"Q = {sol.Q}",
         f"integral = {_bool_text(sol.integral)}",
-        f"normalizer = {sol.normalizer}",
+        f"normalizer = {decimal_str(sol.normalizer)}",
     )
 
 
@@ -138,7 +138,7 @@ def _cmd_solve_m(args, error) -> int:
         "R": sol.R.to_json(),
         "sols": [s.to_json() for s in sol.sols],
         "integral": sol.integral,
-        "normalizer": str(sol.normalizer),
+        "normalizer": decimal_str(sol.normalizer),
     }
     return _emit(
         args,
@@ -146,7 +146,7 @@ def _cmd_solve_m(args, error) -> int:
         f"R = {sol.R}",
         *(f"P{i} = {s}" for i, s in enumerate(sol.sols, 1)),
         f"integral = {_bool_text(sol.integral)}",
-        f"normalizer = {sol.normalizer}",
+        f"normalizer = {decimal_str(sol.normalizer)}",
     )
 
 

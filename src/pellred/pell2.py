@@ -159,8 +159,7 @@ def descend(P, Q, f, d: int, n: int) -> tuple[Poly, Poly]:
     D = f * f + d
     if P.square() - D * Q.square() != Poly(Fraction(-d) ** n):
         raise PreconditionViolated(f"pair is not at norm level (-d)^{n}")
-    inv = Fraction(1, d)
-    return ((D * Q - f * P) * inv, (P - f * Q) * inv)
+    return ((D * Q - f * P) / d, (P - f * Q) / d)
 
 
 def _positive_leading(p: Poly) -> Poly:
@@ -170,11 +169,11 @@ def _positive_leading(p: Poly) -> Poly:
 def identify_solution(P, Q, f, d: int) -> int | None:
     """Match a verified integer solution against the generated family.
 
-    Rescales (P, Q) to the norm level (-d)^n implied by deg P = n * deg f
-    (when that scale is rational; otherwise the chain runs at norm level 1)
-    and descends repeatedly, normalizing signs at each step.  Returns n when
-    the chain ends at (1, 0) after exactly n degree-dropping steps, None if
-    any step breaks the expected degrees or integrality.
+    Rescales (P, Q) to the norm level (-d)^n implied by deg P = n * deg f and
+    descends repeatedly, normalizing signs at each step.  Returns n when the
+    chain ends at (1, 0) after exactly n integral, degree-dropping steps; None
+    if any step breaks the expected degrees or integrality, or if (-d)^(n/2)
+    is irrational, since no solution of the family has that index then.
     """
     P, Q, f = Poly(P), Poly(Q), Poly(f)
     if d == 0:
@@ -184,8 +183,6 @@ def identify_solution(P, Q, f, d: int) -> int | None:
         raise NotASolution("P^2 - (f^2+d)*Q^2 != 1")
     if Q.is_zero():
         return 0
-    if P.is_zero():
-        return None
     f = _positive_leading(f)
     deg_f = f.degree
     if not isinstance(deg_f, int) or deg_f < 1:
@@ -196,30 +193,23 @@ def identify_solution(P, Q, f, d: int) -> int | None:
     n = deg_p // deg_f
     if Q.degree != (n - 1) * deg_f:
         return None
-    cur_p = _positive_leading(P)
-    cur_q = _positive_leading(Q)
     scale = norm_power(-d, 2, n)
     if scale is None:
-        # Irrational rescale: run the chain at norm level 1, through the
-        # rational levels (-d)^0, (-d)^-1, ...; only degree shape is checked.
-        top = 0
-    else:
-        # Integral chain at levels n, n-1, ..., 0.
-        cur_p, cur_q, top = cur_p * abs(scale), cur_q * abs(scale), n
-    bottom = top - n
-    for level in range(top, bottom, -1):
+        return None
+    cur_p = _positive_leading(P) * abs(scale)
+    cur_q = _positive_leading(Q) * abs(scale)
+    for level in range(n, 0, -1):
         cur_p, cur_q = descend(cur_p, cur_q, f, d, level)
         cur_p = _positive_leading(cur_p)
         cur_q = _positive_leading(cur_q)
-        if scale is not None and not (cur_p.is_integral() and cur_q.is_integral()):
+        if not (cur_p.is_integral() and cur_q.is_integral()):
             return None
-        remaining = level - 1 - bottom
+        remaining = level - 1
         if cur_p.degree != remaining * deg_f:
             return None
         if cur_q.degree != ((remaining - 1) * deg_f if remaining else NEG_INF):
             return None
-    value = cur_p.coeffs[0] if cur_p.coeffs else 0
-    return n if value * value == Fraction(-d) ** bottom else None
+    return n if cur_p == ONE else None
 
 
 def solve_square_shift(f, n: int) -> PellSolution | None:
@@ -250,16 +240,12 @@ def nathanson(d: int, n: int) -> tuple[Poly, Poly]:
     check_degree_index(2, n)
     if d not in (1, -1, 2, -2):
         raise UnsupportedD(f"d={d} is outside {{1, -1, 2, -2}}")
-    A, B = ONE, Poly()
     if d == -1:
-        shift = X * X - 1
-        for _ in range(n):
-            A, B = X * A + shift * B, A + X * B
-        return A, B
-    c = 2 // d
-    diag = Poly([1, 0, c])
-    upper = X * (X * X + d) * c
-    lower = X * c
+        diag, upper, lower = X, X * X - 1, ONE
+    else:
+        c = 2 // d
+        diag, upper, lower = Poly([1, 0, c]), X * (X * X + d) * c, X * c
+    A, B = ONE, Poly()
     for _ in range(n):
         A, B = diag * A + upper * B, lower * A + diag * B
     return A, B

@@ -61,17 +61,7 @@ class PolyMatrix:
         if self.dim != other.dim:
             raise DimensionMismatch(f"cannot multiply {self.dim}x{self.dim} by {other.dim}x{other.dim}")
         cols = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = ZERO
-                for a, b in zip(row, col):
-                    if a.coeffs and b.coeffs:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return PolyMatrix(out)
+        return PolyMatrix([[_dot(row, col) for col in cols] for row in self.rows])
 
     def pow(self, n: int) -> PolyMatrix:
         """n-th power by binary exponentiation; the 0th power is the identity."""
@@ -158,7 +148,7 @@ class PolyMatrix:
 
 
 def _dot(a, b) -> Poly:
-    return sum((x * y for x, y in zip(a, b) if x and y), ZERO)
+    return sum((x * y for x, y in zip(a, b) if x.coeffs and y.coeffs), ZERO)
 
 
 def _det_cofactor(rows) -> Poly:

@@ -9,6 +9,7 @@ are immutable values: every operation returns a new canonical polynomial.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -32,6 +33,15 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def decimal_str(c: int) -> str:
+    """Decimal text of an int of any size.
+
+    ``str(c)`` raises ValueError past the interpreter's int-to-str digit
+    limit (4300 digits by default); the Decimal conversion has no limit.
+    """
+    return str(Decimal(c))
 
 
 def _canon(coeffs) -> tuple:
@@ -363,11 +373,11 @@ class Poly:
     def to_json(self) -> dict:
         """JSON form with decimal-string coefficients (arbitrary precision)."""
         if self.is_integral():
-            return {"coeffs": [str(c) for c in self.coeffs]}
+            return {"coeffs": [decimal_str(c) for c in self.coeffs]}
         fracs = [Fraction(c) for c in self.coeffs]
         return {
-            "coeffs": [str(f.numerator) for f in fracs],
-            "den": [str(f.denominator) for f in fracs],
+            "coeffs": [decimal_str(f.numerator) for f in fracs],
+            "den": [decimal_str(f.denominator) for f in fracs],
         }
 
     @classmethod
@@ -410,11 +420,15 @@ def format_poly(p: Poly) -> str:
         if c == 0:
             continue
         mag = -c if c < 0 else c
+        if isinstance(mag, Fraction):
+            text = f"{decimal_str(mag.numerator)}/{decimal_str(mag.denominator)}"
+        else:
+            text = decimal_str(mag)
         if e == 0:
-            body = str(mag)
+            body = text
         else:
             power = "x" if e == 1 else f"x^{e}"
-            body = power if mag == 1 else f"{mag}{power}"
+            body = power if mag == 1 else f"{text}{power}"
         sign = "-" if c < 0 else ("+" if parts else "")
         parts.append(sign + body)
     return "".join(parts)

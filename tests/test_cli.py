@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pellred.cli import emit_table, main
+from pellred.pell2 import PellProblem, solve
 from pellred.polyring import Poly
 from pellred.redei import redei_recurrence
 
@@ -165,6 +169,80 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--P", "1", "--Q", "0"])
         assert exc.value.code == 2
+
+
+# -- output past the interpreter's int-to-str digit limit (4300 by default) -----
+
+# Every number is read through Decimal, which has no digit limit.
+def _big_int(text: str) -> int:
+    return int(Decimal(text))
+
+
+def _read_poly(text: str) -> Poly:
+    """Read canonical polynomial text ("3/2x^2-x+7") back into a Poly."""
+    coeffs = {}
+    for term in re.findall(r"[+-]?[^+-]+", text):
+        sign, num, den, x, expo = re.fullmatch(r"([+-]?)(\d*)(?:/(\d+))?(x(?:\^(\d+))?)?", term).groups()
+        value = Fraction(_big_int(num or "1"), _big_int(den or "1"))
+        coeffs[int(expo or 1) if x else 0] = -value if sign == "-" else value
+    return Poly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
+
+
+def _from_json(data: dict) -> Poly:
+    nums = [_big_int(c) for c in data["coeffs"]]
+    dens = [_big_int(c) for c in data.get("den", ["1"] * len(nums))]
+    return Poly([Fraction(a, b) for a, b in zip(nums, dens)])
+
+
+def _text_fields(out: str) -> dict:
+    return dict(line.split(" = ") for line in out.splitlines())
+
+
+BIG_D = -(10**2200)
+
+
+class TestBigIntegers:
+    @pytest.fixture(scope="class")
+    def big_pair(self):
+        return redei_recurrence(Poly("x+1"), Poly(99999999999999999999), 600)
+
+    @pytest.fixture(scope="class")
+    def big_solution(self):
+        return solve(PellProblem(Poly("x"), BIG_D), 4)
+
+    REDEI = ["redei", "--alpha", "x+1", "--z", "99999999999999999999", "-n", "600"]
+    SOLVE = ["solve", "-f", "x", f"-d={BIG_D}", "-n", "4"]
+
+    def test_fixtures_exceed_the_limit(self, big_pair, big_solution):
+        assert max(abs(c) for c in big_pair.N.coeffs) > 10**4300
+        assert big_solution.normalizer > 10**4300
+        assert not big_solution.P.is_integral()
+
+    def test_redei_text(self, big_pair, capsys):
+        assert main(self.REDEI) == 0
+        fields = _text_fields(capsys.readouterr().out)
+        assert _read_poly(fields["N"]) == big_pair.N
+        assert _read_poly(fields["D"]) == big_pair.D
+
+    def test_redei_json(self, big_pair, capsys):
+        assert main(self.REDEI + ["--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert _from_json(data["N"]) == big_pair.N
+        assert _from_json(data["D"]) == big_pair.D
+
+    def test_solve_text(self, big_solution, capsys):
+        assert main(self.SOLVE) == 0
+        fields = _text_fields(capsys.readouterr().out)
+        assert _read_poly(fields["P"]) == big_solution.P
+        assert _read_poly(fields["Q"]) == big_solution.Q
+        assert _big_int(fields["normalizer"]) == big_solution.normalizer
+
+    def test_solve_json(self, big_solution, capsys):
+        assert main(self.SOLVE + ["--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert _from_json(data["P"]) == big_solution.P
+        assert _from_json(data["Q"]) == big_solution.Q
+        assert _big_int(data["normalizer"]) == big_solution.normalizer
 
 
 # -- fuzzing main() with random argv --------------------------------------------

@@ -163,6 +163,17 @@ class TestIdentify:
         assert identify_solution(-s.P, s.Q, Poly("x^2"), -1) == 5
         assert identify_solution(s.P, -s.Q, Poly("x^2"), -1) == 5
 
+    def test_every_defined_solution(self):
+        # Rational solutions and d outside {1, -1, 2, -2} included; the
+        # content 3 of 3x+3 divides d = +-3 and +-6.
+        for f in (Poly("x"), Poly("x^2+x"), Poly("-2x+1"), Poly("3x+3")):
+            for d in (*range(-6, 0), *range(1, 7)):
+                for s in solve_sequence(PellProblem(f, d), 8):
+                    if s is None:
+                        continue
+                    for P, Q in ((s.P, s.Q), (-s.P, s.Q), (s.P, -s.Q), (-s.P, -s.Q)):
+                        assert identify_solution(P, Q, f, d) == s.n, (f, d, s.n)
+
     def test_non_solution_rejected(self):
         with pytest.raises(NotASolution):
             identify_solution(Poly("x"), ONE, Poly("x"), 3)
