@@ -163,7 +163,7 @@ def descend(P, Q, f, d: int, n: int) -> tuple[Poly, Poly]:
 
 
 def _positive_leading(p: Poly) -> Poly:
-    return -p if (p.coeffs and p.leading < 0) else p
+    return -p if (p.num and p.num[-1] < 0) else p
 
 
 def identify_solution(P, Q, f, d: int) -> int | None:

@@ -150,6 +150,7 @@ def divisibility_probe(f, m: int, n_max: int) -> DivisibilityReport:
             if need == 1:
                 continue
             for idx, comp in enumerate(vec.A):
-                if any(c % need for c in comp.coeffs):
+                # c/den is a multiple of need exactly when need*den divides c.
+                if any(c % (need * comp.den) for c in comp.num):
                     return DivisibilityReport(m, f, n_max, False, (r, vec.n, idx))
     return DivisibilityReport(m, f, n_max, True, None)

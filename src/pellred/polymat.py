@@ -148,7 +148,7 @@ class PolyMatrix:
 
 
 def _dot(a, b) -> Poly:
-    return sum((x * y for x, y in zip(a, b) if x.coeffs and y.coeffs), ZERO)
+    return sum((x * y for x, y in zip(a, b) if x.num and y.num), ZERO)
 
 
 def _det_cofactor(rows) -> Poly:

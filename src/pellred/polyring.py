@@ -1,17 +1,21 @@
 """Exact dense univariate polynomials over the integers and rationals.
 
-Coefficients are Python ints or ``fractions.Fraction`` values stored in
-ascending order of exponent with no trailing zeros; a Fraction that reduces
-to an integer is demoted to int.  With that canonical form, equality is
-structural and integrality is a plain "no Fraction left" check.  Polynomials
-are immutable values: every operation returns a new canonical polynomial.
+A polynomial is stored as ``num / den``: ``num`` is a tuple of ints in
+ascending order of exponent with no trailing zeros, and ``den`` is one
+positive int with ``gcd(den, *num) == 1`` (``den == 1`` for the zero
+polynomial), as in FLINT's ``fmpq_poly``.  With that canonical form,
+equality is structural, integrality is ``den == 1`` and every kernel runs on
+ints only.  ``coeffs`` is the int/Fraction view of the same value, built on
+access.  Polynomials are immutable values: every operation returns a new
+canonical polynomial.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import add, neg, sub
 
 #: Degree of the zero polynomial.  A real sentinel (not -1) so that degree
 #: comparisons work and it never equals a real degree.  Arithmetic on it is
@@ -44,7 +48,25 @@ def decimal_str(c: int) -> str:
     return str(Decimal(c))
 
 
+def _decimal_int(text: str) -> int:
+    """The int written as decimal text, of any size.
+
+    ``int(text)`` raises ValueError past the interpreter's str-to-int digit
+    limit; the Decimal conversion has no limit.  Text that is not an integer
+    (a fraction point, an exponent, NaN) still raises ValueError.
+    """
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = None
+    if value is None or value.as_tuple().exponent != 0:
+        raise ValueError(f"invalid integer text {text!r}")
+    return int(value)
+
+
 def _canon(coeffs) -> tuple:
+    """Canonical int/Fraction coefficients: type-checked, a Fraction that
+    reduces to an integer demoted to int, trailing zeros stripped."""
     out = []
     for c in coeffs:
         # Exact-type test first: isinstance(c, Fraction) goes through the
@@ -61,10 +83,16 @@ def _canon(coeffs) -> tuple:
     return tuple(out)
 
 
-#: Shortest operand, in coefficients, from which a product of two integer
-#: polynomials goes through Kronecker substitution: the shortest length at
-#: which it was no slower than schoolbook for any coefficient size measured
-#: (8 to 1024 bits; crossover grid in CHANGES.md).
+def _rational(c: int, den: int):
+    """c/den as an int where it divides, else as a Fraction."""
+    q, r = divmod(c, den)
+    return Fraction(c, den) if r else q
+
+
+#: Shortest operand, in coefficients, from which a product goes through
+#: Kronecker substitution: the shortest length at which it was no slower than
+#: schoolbook for any coefficient size measured (8 to 1024 bits; crossover
+#: grid in CHANGES.md).
 KRONECKER_MIN_LEN = 32
 
 
@@ -124,6 +152,32 @@ def _mul_kronecker(a, b) -> list:
     return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * size, w)]
 
 
+_new = object.__new__
+
+
+def _make(num: tuple, den: int) -> Poly:
+    """A Poly from parts already in canonical form."""
+    p = _new(Poly)
+    p.num = num
+    p.den = den
+    return p
+
+
+def _reduce(num: list, den: int) -> Poly:
+    """A Poly from int coefficients over ``den > 0``, put in canonical form."""
+    while num and not num[-1]:
+        num.pop()
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+    return _make(tuple(num), den)
+
+
 class Poly:
     """A univariate polynomial with exact coefficients.
 
@@ -138,123 +192,183 @@ class Poly:
     Poly('x^2-1')
     >>> Poly("2x^2+3") * Poly("2x")
     Poly('4x^3+6x')
+    >>> p = Poly([Fraction(1, 2), 0, Fraction(3, 4)])
+    >>> p.num, p.den, p.coeffs
+    ((2, 0, 3), 4, (Fraction(1, 2), 0, Fraction(3, 4)))
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, Poly):
-            self.coeffs = coeffs.coeffs
-        elif isinstance(coeffs, str):
-            self.coeffs = parse_poly(coeffs).coeffs
-        elif isinstance(coeffs, (int, Fraction)):
-            self.coeffs = _canon((coeffs,))
-        else:
-            self.coeffs = _canon(coeffs)
+            self.num, self.den = coeffs.num, coeffs.den
+            return
+        if isinstance(coeffs, str):
+            p = parse_poly(coeffs)
+            self.num, self.den = p.num, p.den
+            return
+        cs = _canon((coeffs,) if isinstance(coeffs, (int, Fraction)) else coeffs)
+        # The lcm of reduced denominators leaves no common factor with the
+        # scaled numerators, so no gcd pass is needed.
+        den = lcm(*(c.denominator for c in cs))
+        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """Canonical coefficients: ints, and Fractions where not integral."""
+        if self.den == 1:
+            return self.num
+        den = self.den
+        return tuple(_rational(c, den) for c in self.num)
+
+    @property
     def degree(self):
         """Degree of the polynomial; ``NEG_INF`` for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     @property
     def leading(self):
         """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else 0
+        return _rational(self.num[-1], self.den) if self.num else 0
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def is_integral(self) -> bool:
         """True iff every coefficient has denominator 1."""
-        return all(isinstance(c, int) for c in self.coeffs)
+        return self.den == 1
 
     def to_integer(self) -> Poly:
         """Return self as an integer polynomial, or raise :class:`NotIntegral`."""
-        if not self.is_integral():
+        if self.den != 1:
             raise NotIntegral(f"{self} has non-integer coefficients")
         return self
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == _canon((other,))
-        return NotImplemented
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly(other)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     # -- ring operations ----------------------------------------------------
+
+    def _add_sub(self, other: Poly, op) -> Poly:
+        """self + other (op is ``add``) or self - other (op is ``sub``)."""
+        a, b, den = self.num, other.num, self.den
+        if den != other.den:
+            den = lcm(den, other.den)
+            a = [c * (den // self.den) for c in a]
+            b = [c * (den // other.den) for c in b]
+        out = list(map(op, a, b))
+        k = len(out)
+        if len(a) > k:
+            out += a[k:]
+        elif len(b) > k:
+            out += b[k:] if op is add else map(neg, b[k:])
+        return _reduce(out, den)
 
     def __add__(self, other) -> Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Poly(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return self._add_sub(other, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self.coeffs])
+        return _make(tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other) -> Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = Poly(other)
-        return self + (-other)
+        return self._add_sub(other, sub)
 
     def __rsub__(self, other) -> Poly:
-        return (-self) + other
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return Poly(other)._add_sub(self, sub)
+
+    def _scale(self, p: int, q: int) -> Poly:
+        """self * p / q for ints p and q; q == 0 raises ZeroDivisionError.
+
+        With gcd(den, num) == 1 on entry, cancelling gcd(p, den) and the
+        content gcd(q, num) leaves the result in canonical form.
+        """
+        if q < 0:
+            p, q = -p, -q
+        elif not q:
+            raise ZeroDivisionError("polynomial division by zero")
+        num, den = self.num, self.den
+        if not p or not num:
+            return ZERO
+        if den != 1:
+            g = gcd(p, den)
+            if g != 1:
+                p //= g
+                den //= g
+        if q != 1:
+            g = gcd(q, *num)
+            if g != 1:
+                q //= g
+                num = [c // g for c in num]
+            den *= q
+        if p != 1:
+            num = [c * p for c in num]
+        return _make(tuple(num), den)
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
+            a, b = self.num, other.num
             if not a or not b:
-                return Poly()
-            short = min(len(a), len(b))
-            if short >= KRONECKER_MIN_LEN and self.is_integral() and other.is_integral():
-                return Poly(_mul_kronecker(a, b))
-            return Poly(_mul_schoolbook(a, b))
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly()
-            return Poly([c * other for c in self.coeffs])
+                return ZERO
+            if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
+                out = _mul_kronecker(a, b)
+            else:
+                out = _mul_schoolbook(a, b)
+            den = self.den * other.den
+            # The leading product is nonzero, so only a rational product
+            # needs reducing.
+            return _make(tuple(out), 1) if den == 1 else _reduce(out, den)
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> Poly:
-        if type(scalar) is int and scalar and self.is_integral():
-            # Each quotient built once: an int where it divides exactly.
-            cs = self.coeffs
-            return Poly([c // scalar if not c % scalar else Fraction(c, scalar) for c in cs])
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return self * (Fraction(1) / scalar)
+        if isinstance(scalar, int):
+            return self._scale(1, scalar)
+        if isinstance(scalar, Fraction):
+            return self._scale(scalar.denominator, scalar.numerator)
+        return NotImplemented
 
     def square(self) -> Poly:
-        """self * self: one big-integer squaring for long integer polynomials,
-        else only the symmetric half of the schoolbook products."""
-        cs = self.coeffs
+        """self * self: one big-integer squaring for long polynomials, else
+        only the symmetric half of the schoolbook products.  By Gauss's
+        lemma the squared numerator and den^2 stay coprime, so no gcd."""
+        cs = self.num
         if not cs:
-            return Poly()
-        if len(cs) >= KRONECKER_MIN_LEN and self.is_integral():
-            return Poly(_mul_kronecker(cs, cs))
-        return Poly(_square_schoolbook(cs))
+            return ZERO
+        if len(cs) >= KRONECKER_MIN_LEN:
+            out = _mul_kronecker(cs, cs)
+        else:
+            out = _square_schoolbook(cs)
+        return _make(tuple(out), self.den * self.den)
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
@@ -270,34 +384,47 @@ class Poly:
         return result
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        """Long division over the rationals: self == q*other + r, deg r < deg other."""
+        """Long division over the rationals: self == q*other + r, deg r < deg other.
+
+        Runs on the integer numerators with one running scale s, keeping
+        s*num(self) == quot*num(other) + rem.  A step whose quotient is not
+        an integer first multiplies quot, rem and s by the least factor that
+        makes it one, so exact division (as in Bareiss elimination) stays in
+        plain integer arithmetic.
+        """
         other = Poly(other)
-        if other.is_zero():
+        b = other.num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        da, db = len(self.coeffs) - 1, len(other.coeffs) - 1
+        da, db = len(self.num) - 1, len(b) - 1
         if da < db:
-            return Poly(), self
-        lead = other.coeffs[-1]
-        int_lead = type(lead) is int
-        inv = Fraction(1) / lead
-        rem = list(self.coeffs)
+            return ZERO, self
+        lead = b[-1]
+        rem = list(self.num)
         quot = [0] * (da - db + 1)
+        s = 1
         for k in range(da - db, -1, -1):
             c = rem[k + db]
             if c:
-                # An integer quotient when it is exact, so integer division
-                # (as in Bareiss elimination) never builds a Fraction.
-                if int_lead and type(c) is int and not c % lead:
-                    t = c // lead
-                else:
-                    t = c * inv
+                if c % lead:
+                    m = abs(lead) // gcd(c, lead)
+                    rem = [x * m for x in rem]
+                    quot = [x * m for x in quot]
+                    s *= m
+                    c *= m
+                t = c // lead
                 quot[k] = t
                 for j in range(db):
-                    cj = other.coeffs[j]
+                    cj = b[j]
                     if cj:
                         rem[k + j] -= t * cj
                 rem[k + db] = 0
-        return Poly(quot), Poly(rem[:db])
+        # self = num/den and other = b/bden, so q = quot*bden/(s*den) and
+        # r = rem/(s*den).
+        den = s * self.den
+        if other.den != 1:
+            quot = [x * other.den for x in quot]
+        return _reduce(quot, den), _reduce(rem[:db], den)
 
     def div_exact(self, other: Poly) -> Poly:
         """Exact quotient; raises ValueError if ``other`` does not divide self."""
@@ -315,17 +442,17 @@ class Poly:
         Poly('2x^8-1')
         """
         inner = Poly(inner)
-        acc = Poly()
-        for c in reversed(self.coeffs):
+        acc = ZERO
+        for c in reversed(self.num):
             acc = acc * inner + c
-        return acc
+        return acc / self.den
 
     def evaluate(self, x):
         """Evaluate at an int or Fraction point."""
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = acc * x + c
-        return acc
+        return acc if self.den == 1 else Fraction(acc, self.den)
 
     def sqrt(self) -> Poly | None:
         """Integer polynomial square root with positive leading coefficient.
@@ -334,11 +461,11 @@ class Poly:
         candidate is built coefficient-by-coefficient from the top and then
         verified by squaring, so a None answer is definitive.
         """
-        if not self.is_integral():
+        if self.den != 1:
             return None
-        cs = self.coeffs
+        cs = self.num
         if not cs:
-            return Poly()
+            return ZERO
         deg = len(cs) - 1
         if deg % 2:
             return None
@@ -359,7 +486,7 @@ class Poly:
             if rem:
                 return None
             g[j] = q
-        cand = Poly(g)
+        cand = _make(tuple(g), 1)
         return cand if cand * cand == self else None
 
     # -- text and JSON forms -------------------------------------------------
@@ -371,27 +498,32 @@ class Poly:
         return f"Poly({format_poly(self)!r})"
 
     def to_json(self) -> dict:
-        """JSON form with decimal-string coefficients (arbitrary precision)."""
-        if self.is_integral():
-            return {"coeffs": [decimal_str(c) for c in self.coeffs]}
-        fracs = [Fraction(c) for c in self.coeffs]
+        """JSON form with decimal-string coefficients (arbitrary precision).
+
+        A rational polynomial lists each coefficient in lowest terms, its
+        numerator in ``coeffs`` and its denominator in ``den``.
+        """
+        num, den = self.num, self.den
+        if den == 1:
+            return {"coeffs": [decimal_str(c) for c in num]}
+        gs = [gcd(c, den) for c in num]
         return {
-            "coeffs": [decimal_str(f.numerator) for f in fracs],
-            "den": [decimal_str(f.denominator) for f in fracs],
+            "coeffs": [decimal_str(c // g) for c, g in zip(num, gs)],
+            "den": [decimal_str(den // g) for g in gs],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> Poly:
-        nums = [int(s) for s in data["coeffs"]]
+        nums = [_decimal_int(s) for s in data["coeffs"]]
         dens = data.get("den")
         if dens is None:
             return cls(nums)
-        return cls([Fraction(a, int(b)) for a, b in zip(nums, dens, strict=True)])
+        return cls([Fraction(a, _decimal_int(b)) for a, b in zip(nums, dens, strict=True)])
 
 
-ZERO = Poly()
-ONE = Poly([1])
-X = Poly([0, 1])
+ZERO = _make((), 1)
+ONE = _make((1,), 1)
+X = _make((0, 1), 1)
 
 
 def common_denominator(*polys: Poly) -> int:
@@ -400,35 +532,31 @@ def common_denominator(*polys: Poly) -> int:
     The least L > 0 for which every L*p is an integer polynomial; verifiers
     scale by it so that their checks run in integer arithmetic.
     """
-    scale = 1
-    for p in polys:
-        for c in p.coeffs:
-            if type(c) is not int:
-                scale = lcm(scale, c.denominator)
-    return scale
+    return lcm(*(p.den for p in polys))
 
 
 def format_poly(p: Poly) -> str:
     """Canonical text: descending powers, explicit signs, coefficient 1 and
-    exponent 1 omitted, e.g. ``4x^6-3x^2``.
+    exponent 1 omitted, fractions in lowest terms, e.g. ``4x^6-3/2x^2``.
     """
-    if not p.coeffs:
+    num, den = p.num, p.den
+    if not num:
         return "0"
     parts = []
-    for e in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[e]
-        if c == 0:
+    for e in range(len(num) - 1, -1, -1):
+        c = num[e]
+        if not c:
             continue
         mag = -c if c < 0 else c
-        if isinstance(mag, Fraction):
-            text = f"{decimal_str(mag.numerator)}/{decimal_str(mag.denominator)}"
-        else:
-            text = decimal_str(mag)
+        g = gcd(mag, den)
+        text = decimal_str(mag // g)
+        if g != den:
+            text = f"{text}/{decimal_str(den // g)}"
         if e == 0:
             body = text
         else:
             power = "x" if e == 1 else f"x^{e}"
-            body = power if mag == 1 else f"{text}{power}"
+            body = power if mag == den else f"{text}{power}"
         sign = "-" if c < 0 else ("+" if parts else "")
         parts.append(sign + body)
     return "".join(parts)
@@ -518,4 +646,4 @@ def parse_poly(text: str) -> Poly:
         read_term(sign)
         skip_ws()
     size = max(coeffs) + 1 if coeffs else 0
-    return Poly([coeffs.get(k, 0) for k in range(size)])
+    return _reduce([coeffs.get(k, 0) for k in range(size)], 1)

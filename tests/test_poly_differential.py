@@ -1,0 +1,253 @@
+"""Differential tests of the num/den Poly against the int/Fraction tuple form.
+
+``RefPoly`` is the earlier representation, kept here only as a reference: a
+tuple of canonical int/Fraction coefficients on which every operation works
+coefficient by coefficient in Fraction arithmetic.  Each operation of
+``Poly`` must give the same coefficients, JSON form and text as the reference
+on mixed int/Fraction operands, negative and non-unit leading coefficients,
+zero, and coefficients past the interpreter's 4300-digit int-to-str limit.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from pellred.polyring import (
+    KRONECKER_MIN_LEN,
+    Poly,
+    _canon,
+    _mul_schoolbook,
+    _square_schoolbook,
+    decimal_str,
+    format_poly,
+)
+
+
+class RefPoly:
+    """The int/Fraction tuple representation the num/den form replaced."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        self.coeffs = _canon(coeffs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return RefPoly(out)
+
+    def __neg__(self):
+        return RefPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, RefPoly):
+            a, b = self.coeffs, other.coeffs
+            return RefPoly(_mul_schoolbook(a, b) if a and b else ())
+        return RefPoly([c * other for c in self.coeffs])
+
+    def __truediv__(self, scalar):
+        return self * (Fraction(1) / scalar)
+
+    def square(self):
+        return RefPoly(_square_schoolbook(self.coeffs) if self.coeffs else ())
+
+    def __divmod__(self, other):
+        da, db = len(self.coeffs) - 1, len(other.coeffs) - 1
+        if db < 0:
+            raise ZeroDivisionError("polynomial division by zero")
+        if da < db:
+            return RefPoly(), self
+        inv = Fraction(1) / other.coeffs[-1]
+        rem = list(self.coeffs)
+        quot = [0] * (da - db + 1)
+        for k in range(da - db, -1, -1):
+            t = rem[k + db] * inv
+            quot[k] = t
+            for j in range(db + 1):
+                rem[k + j] -= t * other.coeffs[j]
+        return RefPoly(quot), RefPoly(rem[:db])
+
+    def to_json(self):
+        if all(isinstance(c, int) for c in self.coeffs):
+            return {"coeffs": [decimal_str(c) for c in self.coeffs]}
+        fracs = [Fraction(c) for c in self.coeffs]
+        return {
+            "coeffs": [decimal_str(f.numerator) for f in fracs],
+            "den": [decimal_str(f.denominator) for f in fracs],
+        }
+
+    def format(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for e in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[e]
+            if c == 0:
+                continue
+            mag = -c if c < 0 else c
+            if isinstance(mag, Fraction):
+                text = f"{decimal_str(mag.numerator)}/{decimal_str(mag.denominator)}"
+            else:
+                text = decimal_str(mag)
+            if e == 0:
+                body = text
+            else:
+                power = "x" if e == 1 else f"x^{e}"
+                body = power if mag == 1 else f"{text}{power}"
+            sign = "-" if c < 0 else ("+" if parts else "")
+            parts.append(sign + body)
+        return "".join(parts)
+
+
+def assert_same(p: Poly, ref: RefPoly):
+    """p holds the reference's value, in canonical num/den form."""
+    assert all(type(c) is int for c in p.num)
+    assert not p.num or p.num[-1] != 0
+    assert p.den > 0 and gcd(p.den, *p.num) == 1
+    assert p.num or p.den == 1
+    assert p.coeffs == ref.coeffs
+    assert [type(c) for c in p.coeffs] == [type(c) for c in ref.coeffs]
+    assert p.is_integral() == all(isinstance(c, int) for c in ref.coeffs)
+    assert p.to_json() == ref.to_json()
+    assert format_poly(p) == ref.format()
+
+
+HUGE = 10**4400
+
+
+# Mapped rather than bounded: hypothesis reprs a strategy's bounds, and str()
+# of an int past the limit raises.
+past_limit = st.integers(-(2**64), 2**64).map(lambda k: k + HUGE if k >= 0 else k - HUGE)
+ints = st.one_of(st.integers(-4, 4), st.integers(-(2**64), 2**64), past_limit)
+dens = st.one_of(st.integers(1, 12), st.integers(1, 2**70), past_limit.map(abs))
+fracs = st.builds(Fraction, ints, dens)
+coeff = st.one_of(ints, fracs)
+short_lists = st.lists(coeff, max_size=6)
+coeff_lists = st.one_of(
+    short_lists,
+    # Integer-only operands long enough for the Kronecker kernel.
+    st.lists(st.integers(-(2**40), 2**40), min_size=KRONECKER_MIN_LEN, max_size=KRONECKER_MIN_LEN + 3),
+)
+
+
+def both(cs):
+    return Poly(cs), RefPoly(cs)
+
+
+def with_reference(lists):
+    return lists.map(both)
+
+
+pairs = with_reference(coeff_lists)
+# Long division multiplies denominators by the divisor's leading coefficient
+# at every step, so its operands stay short.
+short_pairs = with_reference(short_lists)
+# A scalar travels as a constant Poly, whose repr has no digit limit, so a
+# failing example past the limit can still be printed.
+scalars = coeff.map(lambda c: Poly([c]))
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+class TestAgainstReference:
+    @SETTINGS
+    @given(coeff_lists)
+    def test_construction(self, cs):
+        assert_same(Poly(cs), RefPoly(cs))
+
+    @SETTINGS
+    @given(pairs, pairs)
+    def test_add_sub(self, a, b):
+        (p, rp), (q, rq) = a, b
+        assert_same(p + q, rp + rq)
+        assert_same(p - q, rp - rq)
+        assert_same(-p, -rp)
+        assert_same(p - p, RefPoly())
+
+    @SETTINGS
+    @given(pairs, scalars)
+    def test_scalar_add_sub(self, a, const):
+        (p, rp), s = a, const.leading
+        assert_same(p + s, rp + RefPoly([s]))
+        assert_same(s + p, rp + RefPoly([s]))
+        assert_same(p - s, rp - RefPoly([s]))
+        assert_same(s - p, RefPoly([s]) - rp)
+
+    @SETTINGS
+    @given(pairs, pairs)
+    # A denominator that cancels against the other operand's content.
+    @example(both([0, Fraction(1, 2)]), both([2, 4]))
+    @example(both([Fraction(3, 4), 1]), both([6]))
+    def test_mul(self, a, b):
+        (p, rp), (q, rq) = a, b
+        assert_same(p * q, rp * rq)
+        assert_same(p.square(), rp.square())
+
+    @SETTINGS
+    @given(pairs, scalars)
+    def test_scalar_mul(self, a, const):
+        (p, rp), s = a, const.leading
+        assert_same(p * s, rp * s)
+        assert_same(s * p, rp * s)
+
+    @SETTINGS
+    @given(pairs, scalars.filter(bool))
+    def test_scalar_div(self, a, const):
+        (p, rp), s = a, const.leading
+        assert_same(p / s, rp / s)
+
+    def test_div_by_zero(self):
+        for p in (Poly(), Poly([Fraction(1, 2), 3])):
+            for zero in (0, Fraction(0)):
+                with pytest.raises(ZeroDivisionError):
+                    p / zero
+
+    @SETTINGS
+    @given(short_pairs, short_pairs)
+    def test_divmod(self, a, b):
+        (p, rp), (q, rq) = a, b
+        if q.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                divmod(p, q)
+            return
+        (quot, rem), (rquot, rrem) = divmod(p, q), divmod(rp, rq)
+        assert_same(quot, rquot)
+        assert_same(rem, rrem)
+
+    @SETTINGS
+    @given(short_pairs, short_pairs.filter(lambda pair: not pair[0].is_zero()))
+    def test_div_exact(self, a, b):
+        (p, rp), (q, rq) = a, b
+        assert_same((p * q).div_exact(q), rp)
+        if not divmod(rp, rq)[1].coeffs:
+            assert_same(p.div_exact(q), divmod(rp, rq)[0])
+        else:
+            with pytest.raises(ValueError):
+                p.div_exact(q)
+
+    @SETTINGS
+    @given(pairs, pairs)
+    def test_equality_and_hash(self, a, b):
+        (p, rp), (q, rq) = a, b
+        assert (p == q) == (rp == rq)
+        same = (p + q) - q
+        assert same == p and hash(same) == hash(p)
+        assert Poly(p.coeffs) == p and hash(Poly(p.coeffs)) == hash(p)
+
+    @SETTINGS
+    @given(pairs)
+    def test_json_roundtrip(self, a):
+        p, _ = a
+        assert Poly.from_json(p.to_json()) == p

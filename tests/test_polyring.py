@@ -200,6 +200,18 @@ class TestJson:
     def test_roundtrip_through_text(self, p):
         assert Poly.from_json(json.loads(json.dumps(p.to_json()))) == p
 
+    def test_roundtrip_past_digit_limit(self):
+        big = 7 * (10**20000 - 1) // 9
+        for p in (Poly([big, 3]), Poly([Fraction(big, 3), Fraction(-1, big + 2)])):
+            assert Poly.from_json(json.loads(json.dumps(p.to_json()))) == p
+
+    @pytest.mark.parametrize("bad", ["1.5", "1e3", "NaN", "", "x"])
+    def test_rejects_non_integer_text(self, bad):
+        with pytest.raises(ValueError):
+            Poly.from_json({"coeffs": [bad]})
+        with pytest.raises(ValueError):
+            Poly.from_json({"coeffs": ["1"], "den": [bad]})
+
 
 class TestParseLimits:
     def test_degree_at_the_cap(self):
@@ -262,7 +274,8 @@ class TestKronecker:
                 assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
                 assert _mul_kronecker(a, a) == _square_schoolbook(a)
 
-    def test_fraction_operands_keep_schoolbook(self):
+    def test_fraction_operands_match_schoolbook(self):
+        # Rational operands go through the kernel on their integer numerators.
         p = Poly([Fraction(1, 3)] + [1] * KRONECKER_MIN_LEN)
         q = Poly(list(range(1, KRONECKER_MIN_LEN + 2)))
         assert (p * q).coeffs == _canon(_mul_schoolbook(p.coeffs, q.coeffs))
