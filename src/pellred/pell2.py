@@ -153,17 +153,15 @@ def descend(P, Q, f, d: int, n: int) -> tuple[Poly, Poly]:
     coefficients of P, Q, f are positive (callers normalize signs first) the
     degrees of both components drop strictly.
     """
-    if d == 0:
-        raise ZeroD("d must be a nonzero integer")
-    P, Q, f = Poly(P), Poly(Q), Poly(f)
-    D = f * f + d
+    problem = PellProblem(f, d)
+    P, Q, f, D = Poly(P), Poly(Q), problem.f, problem.D
     if P.square() - D * Q.square() != Poly(Fraction(-d) ** n):
         raise PreconditionViolated(f"pair is not at norm level (-d)^{n}")
     return ((D * Q - f * P) / d, (P - f * Q) / d)
 
 
 def _positive_leading(p: Poly) -> Poly:
-    return -p if (p.num and p.num[-1] < 0) else p
+    return -p if p.leading < 0 else p
 
 
 def identify_solution(P, Q, f, d: int) -> int | None:
@@ -175,15 +173,13 @@ def identify_solution(P, Q, f, d: int) -> int | None:
     if any step breaks the expected degrees or integrality, or if (-d)^(n/2)
     is irrational, since no solution of the family has that index then.
     """
-    P, Q, f = Poly(P), Poly(Q), Poly(f)
-    if d == 0:
-        raise ZeroD("d must be a nonzero integer")
-    D = f * f + d
-    if not verify(P, Q, D):
+    P, Q = Poly(P), Poly(Q)
+    problem = PellProblem(f, d)
+    if not verify(P, Q, problem.D):
         raise NotASolution("P^2 - (f^2+d)*Q^2 != 1")
     if Q.is_zero():
         return 0
-    f = _positive_leading(f)
+    f = _positive_leading(problem.f)
     deg_f = f.degree
     if not isinstance(deg_f, int) or deg_f < 1:
         return None

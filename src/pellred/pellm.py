@@ -150,7 +150,6 @@ def divisibility_probe(f, m: int, n_max: int) -> DivisibilityReport:
             if need == 1:
                 continue
             for idx, comp in enumerate(vec.A):
-                # c/den is a multiple of need exactly when need*den divides c.
-                if any(c % (need * comp.den) for c in comp.num):
+                if not (comp / need).is_integral():
                     return DivisibilityReport(m, f, n_max, False, (r, vec.n, idx))
     return DivisibilityReport(m, f, n_max, True, None)

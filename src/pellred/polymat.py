@@ -14,17 +14,13 @@ class DimensionMismatch(DomainError):
     """Matrix shapes do not line up."""
 
 
-def _as_poly(v) -> Poly:
-    return v if isinstance(v, Poly) else Poly(v)
-
-
 class PolyMatrix:
     """An immutable square matrix of polynomials."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        mat = tuple(tuple(_as_poly(v) for v in row) for row in rows)
+        mat = tuple(tuple(Poly(v) for v in row) for row in rows)
         if not mat or any(len(r) != len(mat) for r in mat):
             raise DimensionMismatch("matrix must be square and non-empty")
         self.rows = mat
@@ -148,7 +144,7 @@ class PolyMatrix:
 
 
 def _dot(a, b) -> Poly:
-    return sum((x * y for x, y in zip(a, b) if x.num and y.num), ZERO)
+    return sum((x * y for x, y in zip(a, b) if x and y), ZERO)
 
 
 def _det_cofactor(rows) -> Poly:
@@ -173,14 +169,16 @@ def build_circulant(sols, R) -> PolyMatrix:
     Entry (i, j) is sols[(i - j) mod m], multiplied by R above the diagonal.
     Its determinant is the degree-m Pell form; for m = 2 it is P^2 - R*Q^2.
     """
-    sols = [_as_poly(s) for s in sols]
-    R = _as_poly(R)
+    sols = [Poly(s) for s in sols]
+    R = Poly(R)
     m = len(sols)
     if m < 2:
         raise DimensionMismatch("a circulant needs at least two components")
+    # Above the diagonal (i - j) mod m runs over 1..m-1 only.
+    twisted = {k: sols[k] * R for k in range(1, m)}
     return PolyMatrix(
         [
-            [sols[(i - j) % m] if j <= i else sols[(i - j) % m] * R for j in range(m)]
+            [sols[(i - j) % m] if j <= i else twisted[(i - j) % m] for j in range(m)]
             for i in range(m)
         ]
     )

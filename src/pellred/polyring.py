@@ -6,7 +6,8 @@ positive int with ``gcd(den, *num) == 1`` (``den == 1`` for the zero
 polynomial), as in FLINT's ``fmpq_poly``.  With that canonical form,
 equality is structural, integrality is ``den == 1`` and every kernel runs on
 ints only.  ``coeffs`` is the int/Fraction view of the same value, built on
-access.  Polynomials are immutable values: every operation returns a new
+access.  Only this module reads ``num`` and ``den``.  Polynomials are
+immutable values: ``Poly(p)`` is ``p`` itself, and every operation returns a
 canonical polynomial.
 """
 
@@ -62,25 +63,6 @@ def _decimal_int(text: str) -> int:
     if value is None or value.as_tuple().exponent != 0:
         raise ValueError(f"invalid integer text {text!r}")
     return int(value)
-
-
-def _canon(coeffs) -> tuple:
-    """Canonical int/Fraction coefficients: type-checked, a Fraction that
-    reduces to an integer demoted to int, trailing zeros stripped."""
-    out = []
-    for c in coeffs:
-        # Exact-type test first: isinstance(c, Fraction) goes through the
-        # numbers ABCs, which costs several times more on an int.
-        if type(c) is not int:
-            if isinstance(c, Fraction):
-                if c.denominator == 1:
-                    c = c.numerator
-            elif not isinstance(c, int):
-                raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
-        out.append(c)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def _rational(c: int, den: int):
@@ -181,8 +163,8 @@ def _reduce(num: list, den: int) -> Poly:
 class Poly:
     """A univariate polynomial with exact coefficients.
 
-    Accepts a coefficient sequence (ascending), a scalar, another Poly, or a
-    string in the CLI grammar:
+    Accepts a coefficient sequence (ascending) or a scalar, each of ints and
+    Fractions, or a string in the CLI grammar.  A Poly is returned unchanged:
 
     >>> Poly([1, 0, 2])
     Poly('2x^2+1')
@@ -195,24 +177,28 @@ class Poly:
     >>> p = Poly([Fraction(1, 2), 0, Fraction(3, 4)])
     >>> p.num, p.den, p.coeffs
     ((2, 0, 3), 4, (Fraction(1, 2), 0, Fraction(3, 4)))
+    >>> Poly(p) is p
+    True
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, coeffs=()):
+    def __new__(cls, coeffs=()):
+        # A Poly is immutable, so like tuple(t) it is its own conversion.
         if isinstance(coeffs, Poly):
-            self.num, self.den = coeffs.num, coeffs.den
-            return
+            return coeffs
         if isinstance(coeffs, str):
-            p = parse_poly(coeffs)
-            self.num, self.den = p.num, p.den
-            return
-        cs = _canon((coeffs,) if isinstance(coeffs, (int, Fraction)) else coeffs)
-        # The lcm of reduced denominators leaves no common factor with the
-        # scaled numerators, so no gcd pass is needed.
+            return parse_poly(coeffs)
+        cs = [coeffs] if isinstance(coeffs, (int, Fraction)) else list(coeffs)
+        for c in cs:
+            # Exact-type test first: isinstance(c, Fraction) goes through the
+            # numbers ABCs, which costs several times more on an int.
+            if type(c) is not int and not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
+        # Scaled to the lcm of the reduced denominators, the numerators have
+        # no factor in common with it; _reduce strips trailing zeros.
         den = lcm(*(c.denominator for c in cs))
-        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
-        self.den = den
+        return _reduce([c.numerator * (den // c.denominator) for c in cs], den)
 
     # -- structure ---------------------------------------------------------
 
@@ -383,7 +369,7 @@ class Poly:
                 base = base.square()
         return result
 
-    def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
+    def __divmod__(self, other) -> tuple[Poly, Poly]:
         """Long division over the rationals: self == q*other + r, deg r < deg other.
 
         Runs on the integer numerators with one running scale s, keeping
@@ -392,7 +378,10 @@ class Poly:
         makes it one, so exact division (as in Bareiss elimination) stays in
         plain integer arithmetic.
         """
-        other = Poly(other)
+        if not isinstance(other, Poly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly(other)
         b = other.num
         if not b:
             raise ZeroDivisionError("polynomial division by zero")

@@ -17,12 +17,20 @@ from hypothesis import example, given, settings, strategies as st
 from pellred.polyring import (
     KRONECKER_MIN_LEN,
     Poly,
-    _canon,
     _mul_schoolbook,
     _square_schoolbook,
     decimal_str,
     format_poly,
 )
+
+
+def _canon(coeffs) -> tuple:
+    """The reference's canonical form: a Fraction with denominator 1 demoted
+    to int, trailing zeros stripped."""
+    out = [c.numerator if c.denominator == 1 else c for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 class RefPoly:
