@@ -154,8 +154,7 @@ def _cmd_verify(args, error) -> int:
     if args.D is not None:
         D = parse_poly(args.D)
     elif args.f is not None and args.d is not None:
-        f = parse_poly(args.f)
-        D = f * f + args.d
+        D = PellProblem(parse_poly(args.f), args.d).D
     else:
         error("verify needs --D, or -f together with -d")
     ok = verify(parse_poly(args.P), parse_poly(args.Q), D)

@@ -7,7 +7,9 @@ and the twisted-circulant builder used by the degree-m Pell equation.
 
 from __future__ import annotations
 
-from .polyring import DomainError, ONE, Poly, ZERO
+from operator import matmul
+
+from .polyring import DomainError, ONE, Poly, ZERO, power
 
 
 class DimensionMismatch(DomainError):
@@ -63,15 +65,7 @@ class PolyMatrix:
         """n-th power by binary exponentiation; the 0th power is the identity."""
         if n < 0:
             raise ValueError("negative matrix powers are not supported")
-        result = PolyMatrix.identity(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            n >>= 1
-            if n:
-                base = base @ base
-        return result
+        return power(self, n, PolyMatrix.identity(self.dim), matmul)
 
     # -- determinants --------------------------------------------------------
 

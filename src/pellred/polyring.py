@@ -16,7 +16,7 @@ from __future__ import annotations
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 #: Degree of the zero polynomial.  A real sentinel (not -1) so that degree
 #: comparisons work and it never equals a real degree.  Arithmetic on it is
@@ -69,6 +69,18 @@ def _rational(c: int, den: int):
     """c/den as an int where it divides, else as a Fraction."""
     q, r = divmod(c, den)
     return Fraction(c, den) if r else q
+
+
+def power(base, n: int, one, product):
+    """base**n, n >= 0, by binary powering under ``product`` with identity ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = product(result, base)
+        n >>= 1
+        if n:
+            base = product(base, base)
+    return result
 
 
 #: Shortest operand, in coefficients, from which a product goes through
@@ -322,12 +334,14 @@ class Poly:
                 return ZERO
             if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
                 out = _mul_kronecker(a, b)
+            elif a is b:  # p * p, or p * (p / k): the symmetric half only
+                out = _square_schoolbook(a)
             else:
                 out = _mul_schoolbook(a, b)
             den = self.den * other.den
-            # The leading product is nonzero, so only a rational product
-            # needs reducing.
-            return _make(tuple(out), 1) if den == 1 else _reduce(out, den)
+            # The leading product is nonzero, and by Gauss's lemma a shared
+            # numerator squared stays coprime to both denominators.
+            return _make(tuple(out), den) if den == 1 or a is b else _reduce(out, den)
         if isinstance(other, int):
             return self._scale(other, 1)
         if isinstance(other, Fraction):
@@ -344,30 +358,13 @@ class Poly:
         return NotImplemented
 
     def square(self) -> Poly:
-        """self * self: one big-integer squaring for long polynomials, else
-        only the symmetric half of the schoolbook products.  By Gauss's
-        lemma the squared numerator and den^2 stay coprime, so no gcd."""
-        cs = self.num
-        if not cs:
-            return ZERO
-        if len(cs) >= KRONECKER_MIN_LEN:
-            out = _mul_kronecker(cs, cs)
-        else:
-            out = _square_schoolbook(cs)
-        return _make(tuple(out), self.den * self.den)
+        """self * self, which takes the squaring kernel."""
+        return self * self
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial powers are not defined here")
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base.square()
-        return result
+        return power(self, n, ONE, mul)
 
     def __divmod__(self, other) -> tuple[Poly, Poly]:
         """Long division over the rationals: self == q*other + r, deg r < deg other.
@@ -437,11 +434,14 @@ class Poly:
         return acc / self.den
 
     def evaluate(self, x):
-        """Evaluate at an int or Fraction point."""
-        acc = 0
-        for c in reversed(self.num):
-            acc = acc * x + c
-        return acc if self.den == 1 else Fraction(acc, self.den)
+        """The value at an int or Fraction point: an int where it is integral.
+
+        >>> Poly("2x+1").evaluate(Fraction(1, 2))
+        2
+        """
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"point must be int or Fraction, not {type(x).__name__}")
+        return self.compose(x).leading
 
     def sqrt(self) -> Poly | None:
         """Integer polynomial square root with positive leading coefficient.

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import shlex
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -169,6 +170,30 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--P", "1", "--Q", "0"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["verify", "identify"])
+    def test_zero_d_with_f_is_one(self, command, capsys):
+        # -f with -d means D = f^2 + d, which is defined for d != 0 only.
+        assert main([command, "--P", "1", "--Q", "0", "-f", "x", "-d", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("ZeroD: ")
+        assert captured.out == ""
+
+
+def _readme_block(heading: str) -> str:
+    """The first fenced block under ``heading`` in the README."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    section = text.split(f"\n{heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+class TestReadme:
+    def test_examples_run(self, capsys):
+        commands = [line for line in _readme_block("## CLI").splitlines() if line.startswith("pellred ")]
+        assert commands
+        for line in commands:
+            assert main(shlex.split(line)[1:]) == 0, line
+        exec(_readme_block("## Library"), {})
 
 
 # -- output past the interpreter's int-to-str digit limit (4300 by default) -----

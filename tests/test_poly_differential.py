@@ -202,6 +202,12 @@ class TestAgainstReference:
         (p, rp), (q, rq) = a, b
         assert_same(p * q, rp * rq)
         assert_same(p.square(), rp.square())
+        assert_same(p * p, rp.square())
+        # k is coprime to p's content, so p / k keeps p's numerator under
+        # another denominator: the shared-numerator product.
+        k = 1 + gcd(*p.num)
+        assert (p / k).num is p.num
+        assert_same(p * (p / k), rp * (rp / k))
 
     @SETTINGS
     @given(pairs, scalars)

@@ -119,6 +119,11 @@ class TestArithmetic:
         assert Poly("x^2-3x+2").evaluate(5) == 12
         assert Poly("2x+1").evaluate(Fraction(1, 2)) == 2
         assert ZERO.evaluate(7) == 0
+        assert type(Poly("2x+1").evaluate(Fraction(1, 2))) is int
+        assert Poly("x^2+1").evaluate(Fraction(1, 2)) == Fraction(5, 4)
+        for bad in (1.5, "1", X):
+            with pytest.raises(TypeError):
+                Poly("x+1").evaluate(bad)
 
     def test_scalar_division(self):
         assert Poly("2x+4") / 2 == Poly("x+2")
