@@ -139,9 +139,7 @@ def verify(P, Q, D) -> bool:
     """
     P, Q, D = Poly(P), Poly(Q), Poly(D)
     scale = common_denominator(P, Q)
-    Pi = P * scale
-    Qi = Q * scale
-    return Pi.square() - D * Qi.square() == scale * scale
+    return (P * scale).square() - D * (Q * scale).square() == scale * scale
 
 
 def descend(P, Q, f, d: int, n: int) -> tuple[Poly, Poly]:
@@ -155,7 +153,7 @@ def descend(P, Q, f, d: int, n: int) -> tuple[Poly, Poly]:
     """
     problem = PellProblem(f, d)
     P, Q, f, D = Poly(P), Poly(Q), problem.f, problem.D
-    if P.square() - D * Q.square() != Poly(Fraction(-d) ** n):
+    if P.square() - D * Q.square() != Fraction(-d) ** n:
         raise PreconditionViolated(f"pair is not at norm level (-d)^{n}")
     return ((D * Q - f * P) / d, (P - f * Q) / d)
 
@@ -181,7 +179,7 @@ def identify_solution(P, Q, f, d: int) -> int | None:
         return 0
     f = _positive_leading(problem.f)
     deg_f = f.degree
-    if not isinstance(deg_f, int) or deg_f < 1:
+    if deg_f < 1:
         return None
     deg_p = P.degree
     if deg_p % deg_f:
@@ -192,12 +190,9 @@ def identify_solution(P, Q, f, d: int) -> int | None:
     scale = norm_power(-d, 2, n)
     if scale is None:
         return None
-    cur_p = _positive_leading(P) * abs(scale)
-    cur_q = _positive_leading(Q) * abs(scale)
+    cur_p, cur_q = (_positive_leading(p) * abs(scale) for p in (P, Q))
     for level in range(n, 0, -1):
-        cur_p, cur_q = descend(cur_p, cur_q, f, d, level)
-        cur_p = _positive_leading(cur_p)
-        cur_q = _positive_leading(cur_q)
+        cur_p, cur_q = map(_positive_leading, descend(cur_p, cur_q, f, d, level))
         if not (cur_p.is_integral() and cur_q.is_integral()):
             return None
         remaining = level - 1

@@ -15,6 +15,7 @@ base (when it is an exact integer) yields solutions of det = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .polyring import DomainError, Poly, common_denominator
 from .polymat import build_circulant
@@ -110,14 +111,7 @@ def verify_m(sol: PellMSolution) -> bool:
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    k = 2
-    while k * k <= m:
-        if m % k == 0:
-            return False
-        k += 1
-    return True
+    return m >= 2 and all(m % k for k in range(2, isqrt(m) + 1))
 
 
 @dataclass(frozen=True)

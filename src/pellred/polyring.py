@@ -72,14 +72,13 @@ def _rational(c: int, den: int):
 
 
 def power(base, n: int, one, product):
-    """base**n, n >= 0, by binary powering under ``product`` with identity ``one``."""
-    result = one
-    while n:
-        if n & 1:
+    """base**n, n >= 0, under ``product`` with identity ``one``, left to right: one
+    square per bit after the top one, then ``product(result, base)`` where it is set."""
+    result = base if n else one
+    for bit in bin(n)[3:]:
+        result = product(result, result)
+        if bit == "1":
             result = product(result, base)
-        n >>= 1
-        if n:
-            base = product(base, base)
     return result
 
 
@@ -172,11 +171,21 @@ def _reduce(num: list, den: int) -> Poly:
     return _make(tuple(num), den)
 
 
+def _operand(x):
+    """x as a Poly, an int or Fraction as its constant; else NotImplemented."""
+    if isinstance(x, Poly):
+        return x
+    if type(x) is int or isinstance(x, (int, Fraction)):
+        return _make((x.numerator,), x.denominator) if x else ZERO  # an int even for a bool
+    return NotImplemented
+
+
 class Poly:
     """A univariate polynomial with exact coefficients.
 
     Accepts a coefficient sequence (ascending) or a scalar, each of ints and
-    Fractions, or a string in the CLI grammar.  A Poly is returned unchanged:
+    Fractions, or a string in the CLI grammar.  A Poly is returned unchanged,
+    and an operator takes a scalar operand as its constant polynomial:
 
     >>> Poly([1, 0, 2])
     Poly('2x^2+1')
@@ -191,20 +200,23 @@ class Poly:
     ((2, 0, 3), 4, (Fraction(1, 2), 0, Fraction(3, 4)))
     >>> Poly(p) is p
     True
+    >>> Poly("x") + Fraction(1, 2)
+    Poly('x+1/2')
+    >>> {Poly(3)} == {3}
+    True
     """
 
     __slots__ = ("num", "den")
 
     def __new__(cls, coeffs=()):
-        # A Poly is immutable, so like tuple(t) it is its own conversion.
-        if isinstance(coeffs, Poly):
-            return coeffs
         if isinstance(coeffs, str):
             return parse_poly(coeffs)
-        cs = [coeffs] if isinstance(coeffs, (int, Fraction)) else list(coeffs)
+        p = _operand(coeffs)  # a Poly is immutable: like tuple(t), its own conversion
+        if p is not NotImplemented:
+            return p
+        cs = list(coeffs)
         for c in cs:
-            # Exact-type test first: isinstance(c, Fraction) goes through the
-            # numbers ABCs, which costs several times more on an int.
+            # Exact-type test first: isinstance(c, Fraction) is slow on an int (ABCs).
             if type(c) is not int and not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
         # Scaled to the lcm of the reduced denominators, the numerators have
@@ -246,22 +258,25 @@ class Poly:
         return self
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # A constant hashes as the scalar it equals.
+        return hash(self.leading if len(self.num) < 2 else (self.num, self.den))
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
     # -- ring operations ----------------------------------------------------
 
-    def _add_sub(self, other: Poly, op) -> Poly:
+    def _add_sub(self, other, op) -> Poly:
         """self + other (op is ``add``) or self - other (op is ``sub``)."""
+        other = _operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         a, b, den = self.num, other.num, self.den
         if den != other.den:
             den = lcm(den, other.den)
@@ -276,10 +291,6 @@ class Poly:
         return _reduce(out, den)
 
     def __add__(self, other) -> Poly:
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly(other)
         return self._add_sub(other, add)
 
     __radd__ = __add__
@@ -288,16 +299,11 @@ class Poly:
         return _make(tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other) -> Poly:
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly(other)
         return self._add_sub(other, sub)
 
     def __rsub__(self, other) -> Poly:
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return Poly(other)._add_sub(self, sub)
+        other = _operand(other)
+        return other if other is NotImplemented else other._add_sub(self, sub)
 
     def _scale(self, p: int, q: int) -> Poly:
         """self * p / q for ints p and q; q == 0 raises ZeroDivisionError.
@@ -305,10 +311,10 @@ class Poly:
         With gcd(den, num) == 1 on entry, cancelling gcd(p, den) and the
         content gcd(q, num) leaves the result in canonical form.
         """
-        if q < 0:
+        if q <= 0:  # one test on the common q == 1 path
+            if not q:
+                raise ZeroDivisionError("polynomial division by zero")
             p, q = -p, -q
-        elif not q:
-            raise ZeroDivisionError("polynomial division by zero")
         num, den = self.num, self.den
         if not p or not num:
             return ZERO
@@ -325,13 +331,21 @@ class Poly:
             den *= q
         if p != 1:
             num = [c * p for c in num]
-        return _make(tuple(num), den)
+        # _make inlined: scaling by a constant is hot enough for the call to show.
+        out = _new(Poly)
+        out.num = tuple(num)
+        out.den = den
+        return out
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, Poly):
             a, b = self.num, other.num
             if not a or not b:
                 return ZERO
+            if len(b) == 1:  # a constant on either side scales the other operand
+                return self._scale(b[0], other.den)
+            if len(a) == 1:
+                return other._scale(a[0], self.den)
             if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
                 out = _mul_kronecker(a, b)
             elif a is b:  # p * p, or p * (p / k): the symmetric half only
@@ -342,19 +356,17 @@ class Poly:
             # The leading product is nonzero, and by Gauss's lemma a shared
             # numerator squared stays coprime to both denominators.
             return _make(tuple(out), den) if den == 1 or a is b else _reduce(out, den)
-        if isinstance(other, int):
-            return self._scale(other, 1)
-        if isinstance(other, Fraction):
+        if type(other) is int or isinstance(other, (int, Fraction)):
             return self._scale(other.numerator, other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> Poly:
-        if isinstance(scalar, int):
-            return self._scale(1, scalar)
-        if isinstance(scalar, Fraction):
-            return self._scale(scalar.denominator, scalar.numerator)
+    def __truediv__(self, other) -> Poly:
+        if type(other) is int or isinstance(other, (int, Fraction)):
+            return self._scale(other.denominator, other.numerator)
+        if isinstance(other, Poly) and len(other.num) < 2:
+            return self / other.leading  # a constant divides as its scalar
         return NotImplemented
 
     def square(self) -> Poly:
@@ -375,10 +387,9 @@ class Poly:
         makes it one, so exact division (as in Bareiss elimination) stays in
         plain integer arithmetic.
         """
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return NotImplemented
         b = other.num
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
@@ -411,6 +422,10 @@ class Poly:
         if other.den != 1:
             quot = [x * other.den for x in quot]
         return _reduce(quot, den), _reduce(rem[:db], den)
+
+    def __rdivmod__(self, other) -> tuple[Poly, Poly]:
+        other = _operand(other)
+        return other if other is NotImplemented else other.__divmod__(self)
 
     def div_exact(self, other: Poly) -> Poly:
         """Exact quotient; raises ValueError if ``other`` does not divide self."""

@@ -62,11 +62,7 @@ def step_matrix(z, alpha, m: int) -> PolyMatrix:
     """The m x m multiply-by-(z + alpha^(1/m)) matrix on the power basis."""
     check_degree_index(m, 0)
     z, alpha = Poly(z), Poly(alpha)
-    rows = [[ZERO] * m for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = z
-    for i in range(1, m):
-        rows[i][i - 1] = ONE
+    rows = [[z if j == i else ONE if j == i - 1 else ZERO for j in range(m)] for i in range(m)]
     rows[0][m - 1] = alpha
     return PolyMatrix(rows)
 

@@ -183,6 +183,10 @@ class TestIdentify:
         # carries no degree information to pin an index on.
         assert identify_solution(Poly([3]), Poly([2]), ONE, 1) is None
 
+    def test_zero_f_unidentified(self):
+        # (3, 2) solves P^2 - 2*Q^2 = 1 with f = 0, d = 2; deg f is NEG_INF.
+        assert identify_solution(Poly(3), Poly(2), ZERO, 2) is None
+
 
 class TestSquareShift:
     def test_quartic_family(self):

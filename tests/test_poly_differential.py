@@ -121,7 +121,7 @@ class RefPoly:
 
 def assert_same(p: Poly, ref: RefPoly):
     """p holds the reference's value, in canonical num/den form."""
-    assert all(type(c) is int for c in p.num)
+    assert all(type(c) is int for c in p.num) and type(p.den) is int
     assert not p.num or p.num[-1] != 0
     assert p.den > 0 and gcd(p.den, *p.num) == 1
     assert p.num or p.den == 1
@@ -166,6 +166,13 @@ short_pairs = with_reference(short_lists)
 # failing example past the limit can still be printed.
 scalars = coeff.map(lambda c: Poly([c]))
 
+
+def operands(const):
+    """A scalar operand in each form an operator takes: the int or Fraction
+    itself and its constant Poly."""
+    return const.leading, const
+
+
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -187,11 +194,15 @@ class TestAgainstReference:
     @SETTINGS
     @given(pairs, scalars)
     def test_scalar_add_sub(self, a, const):
-        (p, rp), s = a, const.leading
-        assert_same(p + s, rp + RefPoly([s]))
-        assert_same(s + p, rp + RefPoly([s]))
-        assert_same(p - s, rp - RefPoly([s]))
-        assert_same(s - p, RefPoly([s]) - rp)
+        (p, rp), rs = a, RefPoly(const.coeffs)
+        for s in operands(const):
+            assert_same(p + s, rp + rs)
+            assert_same(s + p, rp + rs)
+            assert_same(p - s, rp - rs)
+            assert_same(s - p, rs - rp)
+            assert (p == s) == (s == p) == (rp == rs)
+            assert (p != s) == (s != p) == (rp != rs)
+            assert const == s and hash(const) == hash(s)
 
     @SETTINGS
     @given(pairs, pairs)
@@ -211,22 +222,67 @@ class TestAgainstReference:
 
     @SETTINGS
     @given(pairs, scalars)
+    @example(both([1, Fraction(-3, 2)]), Poly(0))
+    @example(both([2, 4, 6]), Poly(-1))
     def test_scalar_mul(self, a, const):
-        (p, rp), s = a, const.leading
-        assert_same(p * s, rp * s)
-        assert_same(s * p, rp * s)
+        (p, rp), c = a, const.leading
+        for s in operands(const):
+            assert_same(p * s, rp * c)
+            assert_same(s * p, rp * c)
 
     @SETTINGS
     @given(pairs, scalars.filter(bool))
+    @example(both([3, 6, Fraction(9, 5)]), Poly(-3))
     def test_scalar_div(self, a, const):
-        (p, rp), s = a, const.leading
-        assert_same(p / s, rp / s)
+        (p, rp), c = a, const.leading
+        for s in operands(const):
+            assert_same(p / s, rp / c)
+
+    @SETTINGS
+    @given(short_pairs, scalars)
+    def test_scalar_divmod(self, a, const):
+        (p, rp), rs = a, RefPoly(const.coeffs)
+        for s in operands(const):
+            if const.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    divmod(p, s)
+            else:
+                for got, want in zip(divmod(p, s), divmod(rp, rs)):
+                    assert_same(got, want)
+            if p.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    divmod(s, p)
+            else:
+                for got, want in zip(divmod(s, p), divmod(rs, rp)):
+                    assert_same(got, want)
+
+    @SETTINGS
+    @given(pairs, st.booleans())
+    def test_bool_operands(self, a, flag):
+        # A bool is an int; results must still hold exact ints.
+        (p, rp), c = a, int(flag)
+        rs = RefPoly([c])
+        assert_same(Poly(flag), rs)
+        assert_same(p * flag, rp * c)
+        assert_same(flag * p, rp * c)
+        assert_same(p + flag, rp + rs)
+        assert_same(flag - p, rs - rp)
+        assert (p == flag) == (rp == rs)
+        if flag:
+            assert_same(p / flag, rp)
+            assert_same(divmod(p, flag)[0], rp)
 
     def test_div_by_zero(self):
         for p in (Poly(), Poly([Fraction(1, 2), 3])):
-            for zero in (0, Fraction(0)):
+            for zero in (0, Fraction(0), False, Poly()):
                 with pytest.raises(ZeroDivisionError):
                     p / zero
+                with pytest.raises(ZeroDivisionError):
+                    divmod(p, zero)
+
+    def test_non_constant_divisor_refused(self):
+        with pytest.raises(TypeError):
+            Poly("x^2") / Poly("x")
 
     @SETTINGS
     @given(short_pairs, short_pairs)

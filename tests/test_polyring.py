@@ -18,6 +18,7 @@ from pellred.polyring import (
     _mul_schoolbook,
     _square_schoolbook,
     common_denominator,
+    power,
 )
 
 
@@ -68,6 +69,17 @@ class TestBasics:
         assert Poly() == 0
         assert Poly([0, 1]) != 1
 
+    def test_constant_hashes_as_its_scalar(self):
+        # Equal values hash equally, so a constant and its scalar are one
+        # set element and one dict key.
+        for c in (0, 1, -7, 2**100, -(3**70), Fraction(1, 2), Fraction(-22, 7), True, False):
+            assert Poly(c) == c and hash(Poly(c)) == hash(c)
+            assert c in {Poly(c)} and Poly(c) in {c}
+        assert hash(ZERO) == hash(0)
+        assert hash(Poly([Fraction(6, 4)])) == hash(Fraction(3, 2))
+        assert {Poly(3): "a"}[3] == "a"
+        assert {Poly(3), 3, Fraction(3), Poly("x")} == {3, Poly("x")}
+
 
 class TestArithmetic:
     def test_mul_difference_of_squares(self):
@@ -114,6 +126,26 @@ class TestArithmetic:
     def test_pow(self):
         assert Poly("x+1") ** 3 == Poly("x^3+3x^2+3x+1")
         assert Poly("x+1") ** 0 == ONE
+
+    def test_power_runs_left_to_right(self):
+        # Every product is a square or takes base as its right operand, and
+        # there is one square per bit after the top one.
+        base = Poly("2x-1")
+        for n in range(41):
+            calls = []
+
+            def product(a, b):
+                calls.append((a, b))
+                return a * b
+
+            expected = ONE
+            for _ in range(n):
+                expected = expected * base
+            assert power(base, n, ONE, product) == expected
+            assert all(a is b or b is base for a, b in calls)
+            squares = sum(a is b for a, b in calls)
+            assert squares == max(n.bit_length() - 1, 0)
+            assert len(calls) - squares == max(bin(n).count("1") - 1, 0)
 
     def test_evaluate(self):
         assert Poly("x^2-3x+2").evaluate(5) == 12
