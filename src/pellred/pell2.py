@@ -14,14 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polyring import DomainError, NEG_INF, ONE, Poly, X, common_denominator
+from .polymat import build_circulant
 from .redei import RedeiPair, check_degree_index, norm_power, redei_recurrence, redei_sequence
+from .pellm import IrrationalNormalizer, ZeroR, classify_m
 
 
-class ZeroD(DomainError):
+class ZeroD(ZeroR):
     """d = 0 degenerates the equation; not part of the domain."""
 
 
-class OddIndexUndefined(DomainError):
+class OddIndexUndefined(IrrationalNormalizer):
     """(-d)^(n/2) is irrational for this odd n, so no rational solution exists."""
 
 
@@ -71,19 +73,14 @@ class IntegralityClass:
 
     ALL_N: every n (d = -1).  EVEN_N: exactly the even n (d in {1, 2, -2}).
     NONE: no nontrivial index.  The n = 0 pair (1, 0) is integral for every d.
+    These are the degree-m cases of ``classify_m`` at m = 2, with r = d.
     """
 
     tag: str
     d: int
 
     def predicts_integral(self, n: int) -> bool:
-        if n == 0:
-            return True
-        if self.tag == "ALL_N":
-            return True
-        if self.tag == "EVEN_N":
-            return n % 2 == 0
-        return False
+        return n == 0 or classify_m(self.d, 2, n)
 
 
 def classify(d: int) -> IntegralityClass:
@@ -232,11 +229,9 @@ def nathanson(d: int, n: int) -> tuple[Poly, Poly]:
     if d not in (1, -1, 2, -2):
         raise UnsupportedD(f"d={d} is outside {{1, -1, 2, -2}}")
     if d == -1:
-        diag, upper, lower = X, X * X - 1, ONE
+        diag, lower = X, ONE
     else:
         c = 2 // d
-        diag, upper, lower = Poly([1, 0, c]), X * (X * X + d) * c, X * c
-    A, B = ONE, Poly()
-    for _ in range(n):
-        A, B = diag * A + upper * B, lower * A + diag * B
-    return A, B
+        diag, lower = Poly([1, 0, c]), X * c
+    # One step is the (x^2 + d)-twisted circulant of (diag, lower) acting on (A, B).
+    return build_circulant((diag, lower), X * X + d).pow(n).column(0)

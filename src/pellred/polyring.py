@@ -518,11 +518,14 @@ class Poly:
 
     @classmethod
     def from_json(cls, data: dict) -> Poly:
+        """Read ``to_json``'s form; ValueError on text it never writes."""
         nums = [_decimal_int(s) for s in data["coeffs"]]
-        dens = data.get("den")
-        if dens is None:
+        if data.get("den") is None:
             return cls(nums)
-        return cls([Fraction(a, _decimal_int(b)) for a, b in zip(nums, dens, strict=True)])
+        dens = [_decimal_int(s) for s in data["den"]]
+        if any(b < 1 for b in dens):
+            raise ValueError(f"denominators must be positive integers, got {data['den']!r}")
+        return cls([Fraction(a, b) for a, b in zip(nums, dens, strict=True)])
 
 
 ZERO = _make((), 1)

@@ -6,15 +6,16 @@ m = 2 it is the classical pair
 
     (z + sqrt(alpha))^n = N_n + D_n * sqrt(alpha),   N_n = A_n^(0), D_n = A_n^(1)
 
-and ``RedeiPair`` is that view of it.  Three genuinely independent
+so a pair is a ``GenRedeiVec`` with m = 2, read through its ``N`` and ``D``
+(``RedeiPair`` names the same class).  Three genuinely independent
 constructions are provided so they can check one another: the componentwise
 step rule (production path), powers of the m x m step matrix (first column),
-and the binomial expansion (designated oracle).  At m = 2 all of them satisfy
-the norm identity
+and the binomial expansion (designated oracle).  All of them satisfy the norm
+identity: the alpha-twisted circulant of the vector has determinant
 
-    N_n^2 - alpha * D_n^2 == (z^2 - alpha)^n
+    (z^m + (-1)^(m-1) * alpha)^n,   at m = 2:  N_n^2 - alpha * D_n^2 == (z^2 - alpha)^n
 
-which is what makes these pairs solve Pell-type equations.
+which is what makes these vectors solve Pell-type equations.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .polyring import DomainError, ONE, Poly, ZERO
-from .polymat import PolyMatrix
+from .polymat import PolyMatrix, build_circulant
 
 
 class InvalidIndex(DomainError):
@@ -46,25 +47,27 @@ class GenRedeiVec:
     alpha: Poly
     A: tuple[Poly, ...]
 
+    @property
+    def N(self) -> Poly:
+        """A_n^(0), the rational part N_n of the pair at m = 2."""
+        return self.A[0]
 
-@dataclass(frozen=True)
-class RedeiPair:
-    """The pair (N_n, D_n) for given (alpha, z, n)."""
+    @property
+    def D(self) -> Poly:
+        """A_n^(1), the coefficient D_n of sqrt(alpha) at m = 2."""
+        return self.A[1]
 
-    n: int
-    alpha: Poly
-    z: Poly
-    N: Poly
-    D: Poly
+
+RedeiPair = GenRedeiVec
 
 
 def step_matrix(z, alpha, m: int) -> PolyMatrix:
-    """The m x m multiply-by-(z + alpha^(1/m)) matrix on the power basis."""
+    """The m x m multiply-by-(z + alpha^(1/m)) matrix on the power basis.
+
+    It is the alpha-twisted circulant of the index-1 vector (z, 1, 0, ..., 0).
+    """
     check_degree_index(m, 0)
-    z, alpha = Poly(z), Poly(alpha)
-    rows = [[z if j == i else ONE if j == i - 1 else ZERO for j in range(m)] for i in range(m)]
-    rows[0][m - 1] = alpha
-    return PolyMatrix(rows)
+    return build_circulant((z, ONE) + (ZERO,) * (m - 2), alpha)
 
 
 def gen_redei(z, alpha, m: int, n: int) -> GenRedeiVec:
@@ -113,13 +116,9 @@ def gen_redei_oracle(z, alpha, m: int, n: int) -> GenRedeiVec:
     return GenRedeiVec(m, n, z, alpha, tuple(comps))
 
 
-def _pair(vec: GenRedeiVec) -> RedeiPair:
-    return RedeiPair(vec.n, vec.alpha, vec.z, *vec.A)
-
-
 def redei_sequence(alpha, z, n_max: int) -> list[RedeiPair]:
     """All pairs for n = 0..n_max, sharing one step-rule chain."""
-    return [_pair(vec) for vec in gen_redei_sequence(z, alpha, 2, n_max)]
+    return gen_redei_sequence(z, alpha, 2, n_max)
 
 
 def redei_recurrence(alpha, z, n: int) -> RedeiPair:
@@ -129,7 +128,7 @@ def redei_recurrence(alpha, z, n: int) -> RedeiPair:
 
 def redei_matrix(alpha, z, n: int) -> RedeiPair:
     """(N_n, D_n) read off the first column of [[z, alpha], [1, z]]^n."""
-    return _pair(gen_redei(z, alpha, 2, n))
+    return gen_redei(z, alpha, 2, n)
 
 
 def redei_closed_form(alpha, z, n: int) -> RedeiPair:
@@ -138,14 +137,17 @@ def redei_closed_form(alpha, z, n: int) -> RedeiPair:
     N_n = sum_k C(n, 2k)   * alpha^k * z^(n-2k)
     D_n = sum_k C(n, 2k+1) * alpha^k * z^(n-2k-1)
     """
-    return _pair(gen_redei_oracle(z, alpha, 2, n))
+    return gen_redei_oracle(z, alpha, 2, n)
 
 
-def norm_identity_holds(pair: RedeiPair) -> bool:
-    """Exact check of N^2 - alpha*D^2 == (z^2 - alpha)^n."""
-    lhs = pair.N.square() - pair.alpha * pair.D.square()
-    rhs = (pair.z.square() - pair.alpha) ** pair.n
-    return lhs == rhs
+def norm_identity_holds(vec: GenRedeiVec) -> bool:
+    """Exact check of det(circ(A, alpha)) == (z^m + (-1)^(m-1)*alpha)^n.
+
+    At m = 2 this is N^2 - alpha*D^2 == (z^2 - alpha)^n.
+    """
+    sign = 1 if vec.m % 2 else -1
+    rhs = (vec.z**vec.m + vec.alpha * sign) ** vec.n
+    return build_circulant(vec.A, vec.alpha).det() == rhs
 
 
 def _iroot(a: int, m: int) -> int:

@@ -1,0 +1,53 @@
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import pellred
+from pellred.cli import entry, main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestPublicNames:
+    def test_all_resolves_to_non_modules(self):
+        assert len(pellred.__all__) == len(set(pellred.__all__))
+        for name in pellred.__all__:
+            assert not isinstance(getattr(pellred, name), ModuleType), name
+
+    def test_all_covers_the_api(self):
+        for name in ("Poly", "solve", "solve_m", "gen_redei", "RedeiPair", "DomainError", "ZERO"):
+            assert name in pellred.__all__
+        for name in ("polyring", "redei", "cli", "__version__"):
+            assert name not in pellred.__all__
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "-f", "x^2", "-d", "2", "-n", "4"], 0),
+            (["solve", "-f", "x", "-d", "2", "-n", "3", "--json"], 1),
+            (["solve", "-f", "x^^2", "-d", "2", "-n", "1"], 2),
+        ],
+    )
+    def test_module_run_matches_main(self, argv, code, capsys):
+        assert main(argv) == code
+        want = capsys.readouterr()
+        src = str(Path(pellred.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "pellred", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (code, want.out, want.err)
+
+    def test_console_script_is_cli_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+        module, _, func = scripts["pellred"].partition(":")
+        assert getattr(importlib.import_module(module), func) is entry

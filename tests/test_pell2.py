@@ -20,6 +20,7 @@ from pellred.pell2 import (
     solve_square_shift,
     verify,
 )
+from pellred.pellm import IrrationalNormalizer, ZeroR, classify_m
 from pellred.redei import InvalidIndex, redei_recurrence, redei_sequence
 
 F_SET = (Poly("x"), Poly("x^2"), Poly("x^3+x"))
@@ -48,6 +49,19 @@ class TestClassify:
         # The n = 0 pair is (1, 0) for every d.
         assert classify(3).predicts_integral(0)
 
+    def test_predictions_follow_the_tag(self):
+        for d in range(-6, 7):
+            if d == 0:
+                continue
+            cls = classify(d)
+            for n in range(1, 12):
+                want = {"ALL_N": True, "EVEN_N": n % 2 == 0, "NONE": False}[cls.tag]
+                assert cls.predicts_integral(n) == want == classify_m(d, 2, n), (d, n)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(InvalidIndex):
+            classify(1).predicts_integral(-2)
+
 
 class TestSolve:
     def test_table1_row3(self):
@@ -72,6 +86,13 @@ class TestSolve:
             solve(PellProblem(Poly("x"), 2), 3)
         with pytest.raises(OddIndexUndefined):
             solve(PellProblem(Poly("x"), 4), 5)
+
+    def test_refusals_are_the_degree_m_errors(self):
+        # Code written against the degree-m errors catches the m = 2 ones.
+        with pytest.raises(IrrationalNormalizer):
+            solve(PellProblem(Poly("x"), 2), 3)
+        with pytest.raises(ZeroR):
+            PellProblem(Poly("x"), 0)
 
     def test_odd_index_with_square_minus_d(self):
         # -d = 4 is a perfect square, so odd indices normalize by 2^n.

@@ -276,6 +276,12 @@ class TestJson:
         with pytest.raises(ValueError):
             Poly.from_json({"coeffs": ["1"], "den": [bad]})
 
+    @pytest.mark.parametrize("den", ["0", "-2", "-1"])
+    def test_rejects_non_positive_den(self, den):
+        # to_json writes every denominator as a positive integer.
+        with pytest.raises(ValueError):
+            Poly.from_json({"coeffs": ["1", "3"], "den": ["1", den]})
+
 
 class TestParseLimits:
     def test_degree_at_the_cap(self):

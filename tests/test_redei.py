@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pellred.polyring import ONE, Poly, ZERO
 from pellred.redei import (
+    GenRedeiVec,
     InvalidIndex,
     RedeiPair,
     gen_redei,
@@ -70,6 +71,19 @@ class TestThreeWayAgreement:
         c = redei_closed_form(alpha, z, n)
         assert (a.N, a.D) == (b.N, b.D) == (c.N, c.D)
 
+    @settings(max_examples=20, deadline=None)
+    @given(inputs, inputs, st.integers(min_value=0, max_value=12))
+    def test_views_are_the_engine_at_m2(self, alpha, z, n):
+        assert redei_recurrence(alpha, z, n) == gen_redei_sequence(z, alpha, 2, n)[n]
+        assert redei_sequence(alpha, z, n) == gen_redei_sequence(z, alpha, 2, n)
+        assert redei_matrix(alpha, z, n) == gen_redei(z, alpha, 2, n)
+        assert redei_closed_form(alpha, z, n) == gen_redei_oracle(z, alpha, 2, n)
+
+    def test_pair_is_the_m2_vector(self):
+        assert RedeiPair is GenRedeiVec
+        vec = gen_redei(Poly("x"), Poly("x^3+2"), 4, 5)
+        assert (vec.N, vec.D) == vec.A[:2]
+
     def test_sequence_matches_per_index(self):
         alpha, z = Poly("x^3-2x+1"), Poly("2x+3")
         chain = redei_sequence(alpha, z, 12)
@@ -86,8 +100,24 @@ class TestNormIdentity:
 
     def test_detects_tampering(self):
         pair = redei_recurrence(Poly("x^2+3"), Poly("x"), 3)
-        bad = RedeiPair(pair.n, pair.alpha, pair.z, pair.N + 1, pair.D)
+        bad = RedeiPair(pair.m, pair.n, pair.z, pair.alpha, (pair.N + 1, pair.D))
         assert not norm_identity_holds(bad)
+
+    @settings(max_examples=10, deadline=None)
+    @given(inputs, inputs, st.integers(min_value=3, max_value=5), st.integers(min_value=0, max_value=7))
+    def test_holds_for_every_degree(self, alpha, z, m, n):
+        for build in (gen_redei, gen_redei_oracle):
+            assert norm_identity_holds(build(z, alpha, m, n))
+        assert norm_identity_holds(gen_redei_sequence(z, alpha, m, n)[n])
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_detects_tampering_at_every_degree(self, m):
+        z, alpha = Poly("x+2"), Poly("x^2-3")
+        for vec in (gen_redei(z, alpha, m, 4), gen_redei_oracle(z, alpha, m, 6)):
+            for i in range(m):
+                A = list(vec.A)
+                A[i] = A[i] + 1
+                assert not norm_identity_holds(GenRedeiVec(m, vec.n, z, alpha, tuple(A)))
 
     def test_unit_norm_family(self):
         # z^2 - alpha == 1 here, so the norm is 1 at every index.
