@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import DomainError, NEG_INF, ONE, Poly, X, common_denominator
+from .polyring import DomainError, NEG_INF, ONE, Poly, X, common_denominator, kronecker_pack
 from .polymat import build_circulant
 from .redei import RedeiPair, check_degree_index, norm_power, redei_recurrence, redei_sequence
 from .pellm import IrrationalNormalizer, ZeroR, classify_m
@@ -127,16 +127,52 @@ def solve_sequence(problem: PellProblem, n_max: int) -> list[PellSolution | None
     return out
 
 
+#: Longest operand, in coefficients, that ``verify`` checks at one Kronecker
+#: point.  The point test was the faster check at every length measured up
+#: to 257 coefficients and the slower one from 385 (grid in CHANGES.md); at
+#: 128, operands of 129 coefficients and more keep the polynomial check.
+KRONECKER_POINT_MAX_LEN = 128
+
+
 def verify(P, Q, D) -> bool:
     """Exact check of P^2 - D*Q^2 == 1 over the rationals.
 
-    Denominators are cleared once up front so the squaring runs in integer
-    arithmetic: with L the lcm of all denominators, the check becomes
+    Denominators are cleared once up front so the check runs in integer
+    arithmetic: with L the lcm of the denominators of P and Q, it becomes
     (L*P)^2 - D*(L*Q)^2 == L^2.
+
+    While L*P and L*Q have at most ``KRONECKER_POINT_MAX_LEN`` coefficients,
+    that identity is decided at the one point x = 2^k (Kronecker substitution
+    as a zero test).  With e the denominator of D, the residual
+    R = e*(L*P)^2 - (e*D)*(L*Q)^2 - e*L^2 is an integer polynomial, and by the
+    1-norm (sum of absolute coefficients) every coefficient of R is at most
+    e*|L*P|^2 + |e*D|*|L*Q|^2 + e*L^2.  k = 8w is the least multiple of 8
+    with 2^(k-1) above that bound.  If R were nonzero, its lowest nonzero
+    coefficient c would satisfy 0 < |c| < 2^k, so R(2^k) = 2^(k*j)*(c + 2^k*s)
+    for integers j, s would not vanish.  Hence R(2^k) == 0 iff R == 0: the
+    test is exact, not probabilistic.  L*P and L*Q are packed at 2^k by
+    ``polyring.kronecker_pack`` into ints p and q, D(2^k)*q^2 is built by
+    Horner's rule from the coefficients of e*D (shifts and one small
+    multiplier per step, not a product with the long, mostly zero D(2^k)),
+    and e*(p^2 - L^2) is compared with it as a plain int, with no unpacking.
+    Longer operands keep the polynomial check.
     """
     P, Q, D = Poly(P), Poly(Q), Poly(D)
     scale = common_denominator(P, Q)
-    return (P * scale).square() - D * (Q * scale).square() == scale * scale
+    P, Q = P * scale, Q * scale
+    if max(P.degree, Q.degree) >= KRONECKER_POINT_MAX_LEN:
+        return P.square() - D * Q.square() == scale * scale
+    e = common_denominator(D)
+    ps, qs, ds = P.coeffs, Q.coeffs, (D * e).coeffs
+    norm_p, norm_q, norm_d = (sum(map(abs, cs)) for cs in (ps, qs, ds))
+    # The last term bounds Q's own digits too when D is zero.
+    bound = e * (norm_p * norm_p + scale * scale) + norm_d * norm_q * norm_q + norm_q
+    w = bound.bit_length() // 8 + 1
+    p, q = kronecker_pack(ps, w), kronecker_pack(qs, w)
+    q2, dq2, k = q * q, 0, 8 * w
+    for c in reversed(ds):
+        dq2 = (dq2 << k) + c * q2
+    return e * (p * p - scale * scale) == dq2
 
 
 def descend(P, Q, f, d: int, n: int) -> tuple[Poly, Poly]:

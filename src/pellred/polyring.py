@@ -13,7 +13,7 @@ canonical polynomial.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, mul, neg, sub
@@ -49,20 +49,18 @@ def decimal_str(c: int) -> str:
     return str(Decimal(c))
 
 
-def _decimal_int(text: str) -> int:
+def _decimal_int(text) -> int:
     """The int written as decimal text, of any size.
 
-    ``int(text)`` raises ValueError past the interpreter's str-to-int digit
-    limit; the Decimal conversion has no limit.  Text that is not an integer
-    (a fraction point, an exponent, NaN) still raises ValueError.
+    Only the form ``decimal_str`` writes is read: ASCII digits after an
+    optional "-", nothing else (no whitespace, "_" or "+", which ``int`` and
+    ``Decimal`` would take).  ``int(text)`` raises ValueError past the
+    interpreter's str-to-int digit limit; the Decimal conversion has none.
     """
-    try:
-        value = Decimal(text)
-    except InvalidOperation:
-        value = None
-    if value is None or value.as_tuple().exponent != 0:
+    digits = text.removeprefix("-") if isinstance(text, str) else ""
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid integer text {text!r}")
-    return int(value)
+    return int(Decimal(text))
 
 
 def _rational(c: int, den: int):
@@ -113,16 +111,27 @@ def _square_schoolbook(cs) -> list:
     return out
 
 
+def kronecker_pack(cs, w: int) -> int:
+    """The value at x = 2^(8w) of the integer coefficients ``cs`` (ascending).
+
+    Requires |c| < 2^(8w-1) for every c.  Adding that half-range to each
+    coefficient makes it a non-negative w-byte digit, as byte packing needs;
+    the same offset is subtracted again as one integer.
+    """
+    half = 1 << (8 * w - 1)
+    digits = b"".join((c + half).to_bytes(w, "little") for c in cs)
+    offsets = half.to_bytes(w, "little") * len(cs)
+    return int.from_bytes(digits, "little") - int.from_bytes(offsets, "little")
+
+
 def _mul_kronecker(a, b) -> list:
     """Product of two integer coefficient sequences by Kronecker substitution.
 
-    Both operands are evaluated at x = 2^(8w) by packing their coefficients
-    into w-byte digits, the two integers are multiplied by CPython's
-    Karatsuba, and the digits of the product are its coefficients (Harvey
-    2009, J. Symb. Comp. 44).  w is chosen so that every product coefficient
-    lies strictly between -2^(8w-1) and 2^(8w-1); adding that half-range to
-    each digit makes it non-negative, as byte packing needs, and the same
-    offset is subtracted again as one integer.
+    Both operands are evaluated at x = 2^(8w) by ``kronecker_pack``, the two
+    integers are multiplied by CPython's Karatsuba, and the digits of the
+    product are its coefficients (Harvey 2009, J. Symb. Comp. 44).  w is
+    chosen so that every product coefficient lies strictly between -2^(8w-1)
+    and 2^(8w-1), so the half-range offset that packing uses also unpacks.
     """
     bits = (
         max(abs(c) for c in a).bit_length()
@@ -130,17 +139,11 @@ def _mul_kronecker(a, b) -> list:
         + min(len(a), len(b)).bit_length()
     )
     w = bits // 8 + 1
-    half = 1 << (8 * w - 1)
-    half_digit = half.to_bytes(w, "little")
-
-    def pack(cs) -> int:
-        digits = b"".join((c + half).to_bytes(w, "little") for c in cs)
-        return int.from_bytes(digits, "little") - int.from_bytes(half_digit * len(cs), "little")
-
-    va = pack(a)
-    product = va * (va if b is a else pack(b))
+    va = kronecker_pack(a, w)
+    product = va * (va if b is a else kronecker_pack(b, w))
     size = len(a) + len(b) - 1
-    product += int.from_bytes(half_digit * size, "little")
+    half = 1 << (8 * w - 1)
+    product += int.from_bytes(half.to_bytes(w, "little") * size, "little")
     digits = product.to_bytes(w * size, "little")
     return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * size, w)]
 
@@ -519,10 +522,13 @@ class Poly:
     @classmethod
     def from_json(cls, data: dict) -> Poly:
         """Read ``to_json``'s form; ValueError on text it never writes."""
-        nums = [_decimal_int(s) for s in data["coeffs"]]
-        if data.get("den") is None:
+        coeffs, den = data["coeffs"], data.get("den")
+        if not isinstance(coeffs, list) or not isinstance(den, (list, type(None))):
+            raise ValueError("coeffs and den must be lists of integer texts")
+        nums = [_decimal_int(s) for s in coeffs]
+        if den is None:
             return cls(nums)
-        dens = [_decimal_int(s) for s in data["den"]]
+        dens = [_decimal_int(s) for s in den]
         if any(b < 1 for b in dens):
             raise ValueError(f"denominators must be positive integers, got {data['den']!r}")
         return cls([Fraction(a, b) for a, b in zip(nums, dens, strict=True)])

@@ -276,6 +276,23 @@ class TestJson:
         with pytest.raises(ValueError):
             Poly.from_json({"coeffs": ["1"], "den": [bad]})
 
+    @pytest.mark.parametrize("bad", [" 1_0 ", "1_0", " 1", "1\n", "+1", "-+1", "--1", "-", "\u0661\u0662", 12])
+    def test_rejects_text_to_json_never_writes(self, bad):
+        # int() and Decimal() read whitespace, "_", "+" and non-ASCII digits.
+        with pytest.raises(ValueError):
+            Poly.from_json({"coeffs": [bad]})
+        with pytest.raises(ValueError):
+            Poly.from_json({"coeffs": ["1"], "den": [bad]})
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"coeffs": "12"}, {"coeffs": ("1", "2")}, {"coeffs": ["1"], "den": "2"}, {"coeffs": ["1"], "den": ("2",)}],
+    )
+    def test_rejects_fields_that_are_not_lists(self, data):
+        # A string would be read character by character: "12" as 2x+1.
+        with pytest.raises(ValueError):
+            Poly.from_json(data)
+
     @pytest.mark.parametrize("den", ["0", "-2", "-1"])
     def test_rejects_non_positive_den(self, den):
         # to_json writes every denominator as a positive integer.
