@@ -182,13 +182,15 @@ def descend(P, Q, f, d: int, n: int) -> tuple[Poly, Poly]:
 
     Requires P^2 - (f^2+d)*Q^2 == (-d)^n exactly.  When the leading
     coefficients of P, Q, f are positive (callers normalize signs first) the
-    degrees of both components drop strictly.
+    degrees of both components drop strictly.  Expanding f^2 + d shows
+    P' = Q - f*Q', which is how P' is computed: no product by f^2 + d.
     """
     problem = PellProblem(f, d)
     P, Q, f, D = Poly(P), Poly(Q), problem.f, problem.D
     if P.square() - D * Q.square() != Fraction(-d) ** n:
         raise PreconditionViolated(f"pair is not at norm level (-d)^{n}")
-    return ((D * Q - f * P) / d, (P - f * Q) / d)
+    Q_next = (P - f * Q) / d
+    return (Q - f * Q_next, Q_next)
 
 
 def _positive_leading(p: Poly) -> Poly:

@@ -83,11 +83,33 @@ def gen_redei_sequence(z, alpha, m: int, n_max: int) -> list[GenRedeiVec]:
 
     A_{n+1}^(0) = z*A_n^(0) + alpha*A_n^(m-1);
     A_{n+1}^(i) = z*A_n^(i) + A_n^(i-1) for i >= 1.
+
+    At m = 2 the step is regrouped through c = alpha - z^2 by the identity
+
+        z*N + alpha*D = z*(N + z*D) + c*D,   and D_{n+1} = N + z*D,
+
+    so with s = N + z*D one step is (N, D) -> (z*s + c*D, s): two products
+    by z and one by c instead of products by z, z and alpha.  It is taken
+    when deg c < deg alpha, which is when it is cheaper: every Pell input
+    alpha = f^2 + d with deg f >= 1 (c is the constant d) and
+    ``solve_square_shift``'s alpha = g^2 - 1.  Otherwise (alpha's leading
+    term is not z^2's, as for random alpha) the plain rule runs.  m >= 3
+    keeps the plain rule: the same regroup of alpha = +-z^m + r costs 2m - 1
+    products by z against m + 1, which pays only when m < deg z + 1.
     """
     check_degree_index(m, n_max)
     z, alpha = Poly(z), Poly(alpha)
     comp = [ONE] + [ZERO] * (m - 1)
     out = [GenRedeiVec(m, 0, z, alpha, tuple(comp))]
+    if m == 2:
+        c = alpha - z * z
+        if c.degree < alpha.degree:
+            N, D = comp
+            for n in range(1, n_max + 1):
+                s = N + z * D
+                N, D = z * s + c * D, s
+                out.append(GenRedeiVec(2, n, z, alpha, (N, D)))
+            return out
     for n in range(1, n_max + 1):
         comp = [z * comp[0] + alpha * comp[m - 1]] + [
             z * comp[i] + comp[i - 1] for i in range(1, m)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pellred.polyring import ONE, Poly, ZERO
 from pellred.pell2 import (
@@ -156,6 +157,30 @@ class TestDescend:
                     assert down == (chain[n - 1].N, chain[n - 1].D)
                     assert down[0].degree < cur.N.degree
                     assert down[1].degree < cur.D.degree
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=-5, max_value=5),
+                st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            ),
+            min_size=2,
+            max_size=5,
+        ).filter(lambda cs: cs[-1] != 0),
+        st.sampled_from([d for k in range(1, 7) for d in (k, -k)]),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_matches_product_by_D(self, f, d, n):
+        # Every level of a solve pair, against P' = (D*Q - f*P)/d.
+        f, n = Poly(f), n if d in (-1, -4) else n - n % 2
+        sol = solve(PellProblem(f, d), n)
+        P, Q, D = sol.P * sol.normalizer, sol.Q * sol.normalizer, f * f + d
+        for level in range(n, 0, -1):
+            want = ((D * Q - f * P) / d, (P - f * Q) / d)
+            P, Q = descend(P, Q, f, d, level)
+            assert (P, Q) == want
+        assert (P, Q) == (ONE, ZERO)
 
 
 class TestIdentify:

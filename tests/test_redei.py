@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pellred.polyring import ONE, Poly, ZERO
+from pellred.polyring import ONE, Poly, X, ZERO
 from pellred.redei import (
     GenRedeiVec,
     InvalidIndex,
@@ -90,6 +90,53 @@ class TestThreeWayAgreement:
         for n in (0, 1, 5, 12):
             single = redei_recurrence(alpha, z, n)
             assert (chain[n].N, chain[n].D) == (single.N, single.D)
+
+
+def plain_step_chain(z, alpha, n_max):
+    """(N_n, D_n) for n = 0..n_max by the step rule as the paper states it."""
+    N, D = ONE, ZERO
+    chain = [(N, D)]
+    for _ in range(n_max):
+        N, D = z * N + alpha * D, z * D + N
+        chain.append((N, D))
+    return chain
+
+
+coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@st.composite
+def shifted_squares(draw):
+    """(z, alpha) with alpha = z^2 + c and deg c < 2*deg z, c = 0 included."""
+    z = Poly(draw(st.lists(coeffs, max_size=5)))
+    c = Poly(draw(st.lists(coeffs, max_size=max(2 * z.degree, 0))))
+    return z, z * z + c
+
+
+class TestRegroupedStep:
+    """At m = 2 with deg(alpha - z^2) < deg alpha the step is regrouped
+    through c = alpha - z^2; it must give the plain step rule's pairs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(shifted_squares(), st.integers(min_value=0, max_value=24))
+    # deg c = 2*deg z - 1, the last degree that takes the regrouped step
+    @example((X * X + 1, (X * X + 1) ** 2 + Poly("x^3-2")), 24)
+    @example((X * 2 - Fraction(1, 3), (X * 2 - Fraction(1, 3)) ** 2), 24)  # alpha = z^2, c = 0
+    @example((Poly(3), Poly(9)), 6)  # z constant, c = 0
+    @example((Poly(Fraction(3, 2)), Poly(7)), 6)  # z constant, deg c = deg alpha
+    @example((ZERO, Poly("x^2+3")), 9)  # z = 0
+    @example((Poly("x+1"), ZERO), 9)  # alpha = 0
+    @example((X, Poly("2x^2+1")), 12)  # alpha's leading term does not cancel
+    def test_matches_plain_rule_matrix_and_oracle(self, z_alpha, n_max):
+        z, alpha = z_alpha
+        chain = gen_redei_sequence(z, alpha, 2, n_max)
+        for n, ref in enumerate(plain_step_chain(z, alpha, n_max)):
+            assert chain[n].A == ref
+            assert gen_redei(z, alpha, 2, n).A == ref
+            assert gen_redei_oracle(z, alpha, 2, n).A == ref
 
 
 class TestNormIdentity:
