@@ -128,9 +128,11 @@ def solve_sequence(problem: PellProblem, n_max: int) -> list[PellSolution | None
 
 
 #: Longest operand, in coefficients, that ``verify`` checks at one Kronecker
-#: point.  The point test was the faster check at every length measured up
-#: to 257 coefficients and the slower one from 385 (grid in CHANGES.md); at
-#: 128, operands of 129 coefficients and more keep the polynomial check.
+#: point.  With the polynomial check's long squares in decimal Kronecker
+#: products, the point test was 1.02-1.43x faster than that check at 65 to 129
+#: coefficients, 0.92-1.26x at 193 to 225 and 0.44-0.88x, slower, from 257
+#: (grid in CHANGES.md); operands of 129 coefficients and more keep the
+#: polynomial check.
 KRONECKER_POINT_MAX_LEN = 128
 
 

@@ -13,7 +13,7 @@ canonical polynomial.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, mul, neg, sub
@@ -124,20 +124,60 @@ def kronecker_pack(cs, w: int) -> int:
     return int.from_bytes(digits, "little") - int.from_bytes(offsets, "little")
 
 
+#: Smallest packed size, in bits, of the shorter operand (its length times
+#: ``_mul_kronecker``'s digit bound ``bits``) from which a Kronecker product
+#: is taken in decimal.  From 210 kbit on, decimal was the faster kernel for
+#: every shape measured: squares and products, balanced and lopsided, 64 to
+#: 1000 coefficients of 100 to 1000 bits (up to 4x at 2 Mbit); below 200 kbit
+#: it was up to 2.8x slower on some shapes (grid in CHANGES.md).
+KRONECKER_DECIMAL_MIN_BITS = 200_000
+
+#: Exact decimal arithmetic for the decimal Kronecker product: no operation
+#: on integers can round within MAX_PREC digits, and if one did, the trapped
+#: Rounded/Inexact signal would raise instead of changing a digit.  Only the
+#: context's own methods use it, so the caller's decimal context is never
+#: read or changed.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
+
 def _mul_kronecker(a, b) -> list:
     """Product of two integer coefficient sequences by Kronecker substitution.
 
-    Both operands are evaluated at x = 2^(8w) by ``kronecker_pack``, the two
-    integers are multiplied by CPython's Karatsuba, and the digits of the
-    product are its coefficients (Harvey 2009, J. Symb. Comp. 44).  w is
-    chosen so that every product coefficient lies strictly between -2^(8w-1)
-    and 2^(8w-1), so the half-range offset that packing uses also unpacks.
+    Both operands are evaluated at one radix x, the two integers are
+    multiplied once, and the digits of the product in base x are its
+    coefficients (Harvey 2009, J. Symb. Comp. 44).  Every product coefficient
+    is below 2^bits in absolute value, bits summing the bit lengths of the
+    largest coefficient of each operand and of the shorter length.
+
+    - Binary, x = 2^(8w) with w = bits // 8 + 1: packed by ``kronecker_pack``
+      and multiplied by CPython's int product (Karatsuba, O(n^1.58)).
+    - Decimal, x = 10^j with j the least digit count such that 10^(j-1) >
+      2^bits: multiplied by libmpdec, the C engine of ``decimal``, which takes
+      a number-theoretic transform for long operands (O(n log n), in the line
+      of Schoenhage & Strassen 1971, Computing 7), in the exact context
+      ``_EXACT``.  Taken when the shorter operand packs to at least
+      ``KRONECKER_DECIMAL_MIN_BITS`` and j <= 640.  Every int this path
+      converts to or from text then has at most 640 digits, and 640 is the
+      lowest int/str digit limit that ``sys.set_int_max_str_digits`` accepts
+      (``sys.int_info.str_digits_check_threshold``), so no limit setting can
+      make it raise.  Wider coefficients keep the binary path.
+
+    Either way each coefficient is stored with the half-range offset of its
+    digit (2^(8w-1), or 5*10^(j-1)) added, so every digit is non-negative,
+    and the offset is subtracted again as one number.  As every product
+    coefficient lies strictly inside that half range, the same offset also
+    unpacks the product.
     """
     bits = (
         max(abs(c) for c in a).bit_length()
         + max(abs(c) for c in b).bit_length()
         + min(len(a), len(b)).bit_length()
     )
+    # 30103/100000 exceeds log10(2), so 10^(j-1) > 2^bits holds for this j;
+    # for every bits up to 13300, far past j = 640, it is the least such j.
+    j = bits * 30103 // 100000 + 2
+    if j <= 640 and min(len(a), len(b)) * bits >= KRONECKER_DECIMAL_MIN_BITS:
+        return _kronecker_decimal(a, b, j)
     w = bits // 8 + 1
     va = kronecker_pack(a, w)
     product = va * (va if b is a else kronecker_pack(b, w))
@@ -146,6 +186,24 @@ def _mul_kronecker(a, b) -> list:
     product += int.from_bytes(half.to_bytes(w, "little") * size, "little")
     digits = product.to_bytes(w * size, "little")
     return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * size, w)]
+
+
+def _kronecker_decimal(a, b, j: int) -> list:
+    # Every operand and product coefficient c has |c| < 2^bits < 10^(j-1), so
+    # c + half has exactly j digits: blocks need no padding, and the text of
+    # the offset product is exactly j * size digits, most significant first.
+    half = 5 * 10 ** (j - 1)
+    offset = str(half)
+
+    def pack(cs):
+        digits = _EXACT.create_decimal("".join([str(c + half) for c in reversed(cs)]))
+        return _EXACT.subtract(digits, _EXACT.create_decimal(offset * len(cs)))
+
+    va = pack(a)
+    product = _EXACT.multiply(va, va if b is a else pack(b))
+    size = len(a) + len(b) - 1
+    digits = _EXACT.to_sci_string(_EXACT.add(product, _EXACT.create_decimal(offset * size)))
+    return [int(digits[i - j : i]) - half for i in range(j * size, 0, -j)]
 
 
 _new = object.__new__

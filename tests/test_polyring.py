@@ -1,10 +1,13 @@
 import copy
+import decimal
 import doctest
 import json
 import pickle
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +17,12 @@ from pellred.polyring import NEG_INF, NotIntegral, ONE, ParseError, Poly, X, ZER
 from pellred.polyring import (
     KRONECKER_MIN_LEN,
     MAX_PARSE_DEGREE,
+    _kronecker_decimal,
     _mul_kronecker,
     _mul_schoolbook,
     _square_schoolbook,
     common_denominator,
+    decimal_str,
     power,
 )
 
@@ -370,6 +375,144 @@ class TestKronecker:
             expected.pop()
         assert (p * q).coeffs == tuple(c.numerator if c.denominator == 1 else c for c in expected)
         assert p.square() == p * p
+
+
+def product_bits(a, b) -> int:
+    """The bound of ``_mul_kronecker``: every product coefficient is below 2^bits."""
+    return max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + min(len(a), len(b)).bit_length()
+
+
+def least_digits(bits) -> int:
+    """The least j with 10^(j-1) > 2^bits."""
+    return len(decimal_str(1 << bits)) + 1
+
+
+def by_kernel(a, b, cutoff):
+    """``_mul_kronecker(a, b)`` under decimal cut-off ``cutoff``, with the digit
+    counts it passed to the decimal path (empty where it took the binary one)."""
+    with (
+        mock.patch.object(pellred.polyring, "KRONECKER_DECIMAL_MIN_BITS", cutoff),
+        mock.patch.object(pellred.polyring, "_kronecker_decimal", wraps=_kronecker_decimal) as spy,
+    ):
+        out = _mul_kronecker(a, b)
+    return out, [call.args[2] for call in spy.call_args_list]
+
+
+def schoolbook(a, b):
+    return _square_schoolbook(a) if a is b else _mul_schoolbook(a, b)
+
+
+def operand(rng, length, k, pattern) -> list:
+    """``length`` coefficients below 2^k in absolute value, nonzero leading."""
+    top = 1 << k
+    if pattern == "extreme":  # every coefficient at +-(2^k - 1)
+        cs = [rng.choice((-1, 1)) * (top - 1) for _ in range(length)]
+    elif pattern == "negative":
+        cs = [-rng.randrange(1, top) for _ in range(length)]
+    elif pattern == "sparse":  # mostly zero coefficients
+        cs = [rng.randrange(1 - top, top) if rng.random() < 0.2 else 0 for _ in range(length)]
+    else:
+        cs = [rng.randrange(1 - top, top) for _ in range(length)]
+    cs[-1] = cs[-1] or top - 1
+    return cs
+
+
+# Shorter operands of 32 to 255 coefficients of 8 to 1057 bits pack to 0.7 to
+# 541 kbit, on both sides of KRONECKER_DECIMAL_MIN_BITS.  255 x 1057 bits is
+# the widest square the decimal path takes (j = 640).
+@st.composite
+def operand_pairs(draw):
+    """(a, b), where b is a itself (a square), a copy of it, or another operand."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pattern = draw(st.sampled_from(["random", "negative", "sparse", "extreme"]))
+    k = draw(st.sampled_from([8, 200, 500, 707, 1057]))
+    a = operand(rng, draw(st.sampled_from([KRONECKER_MIN_LEN, 100, 255])), k, pattern)
+    kind = draw(st.sampled_from(["square", "copy", "product"]))
+    if kind != "product":
+        return a, (a if kind == "square" else list(a))
+    k = draw(st.sampled_from([k, 8, 1057]))
+    return a, operand(rng, draw(st.sampled_from([KRONECKER_MIN_LEN, 100, 255, 400])), k, pattern)
+
+
+class TestDecimalKronecker:
+    """The decimal Kronecker path against the binary one and schoolbook."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(operand_pairs())
+    def test_decimal_matches_binary_and_schoolbook(self, ab):
+        a, b = ab
+        want = schoolbook(a, b)
+        j = least_digits(product_bits(a, b))
+        in_decimal, digits = by_kernel(a, b, 0)
+        in_binary, none = by_kernel(a, b, float("inf"))
+        assert digits == ([j] if j <= 640 else []) and not none
+        assert in_decimal == in_binary == want
+        assert _mul_kronecker(a, b) == want  # the cut-off the module ships with
+
+    def test_digit_count_is_the_least(self):
+        # Each bits from 3 up takes the decimal path while its least j is at
+        # most 640, and the binary path from there.
+        for bits in range(3, 2200):
+            k = bits // 2
+            a, b = [1 << (k - 1)], [1 << (bits - k - 2)]
+            assert product_bits(a, b) == bits
+            out, digits = by_kernel(a, b, 0)
+            j = least_digits(bits)
+            assert digits == ([j] if j <= 640 else []), bits
+            assert out == [a[0] * b[0]]
+
+    @pytest.mark.parametrize("length, k", [(127, 1056), (255, 1057), (255, 9), (577, 68)])
+    def test_products_at_the_digit_bound(self, length, k):
+        # All coefficients +-(2^k - 1) of one sign put the middle coefficient
+        # of the square past 5*10^(j-2): one digit fewer would not hold it.
+        for sign in (1, -1):
+            a = [sign * ((1 << k) - 1)] * length
+            j = least_digits(product_bits(a, a))
+            want = _square_schoolbook(a)
+            assert max(map(abs, want)) >= 5 * 10 ** (j - 2)
+            for b in (a, list(a)):
+                out, digits = by_kernel(a, b, 0)
+                assert digits == [j] and out == want
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+    def test_at_the_lowest_digit_limit(self):
+        # 255 coefficients of 1057 bits need j = 640 digits, the most the
+        # decimal path takes; with one more bit the square takes the binary
+        # path.  Neither may raise under the lowest limit there is.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for k, path in ((1057, [640]), (1058, [])):
+                a = [(-1) ** i * ((1 << k) - 1 - i) for i in range(255)]
+                out, digits = by_kernel(a, a, pellred.polyring.KRONECKER_DECIMAL_MIN_BITS)
+                assert digits == path
+                assert out == _square_schoolbook(a)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_callers_decimal_context_is_neither_used_nor_changed(self):
+        a = [(-1) ** i * 3**300 + i for i in range(KRONECKER_MIN_LEN)]
+        b = [7**300 - i for i in range(KRONECKER_MIN_LEN + 5)]
+        outer = repr(decimal.getcontext())
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            for signal in (decimal.Inexact, decimal.Rounded, decimal.Overflow):
+                ctx.traps[signal] = True
+            before = repr(ctx)
+            for x, y in ((a, b), (a, a)):
+                out, digits = by_kernel(x, y, 0)
+                assert digits and out == schoolbook(x, y)
+            assert repr(ctx) == before and decimal.getcontext() is ctx
+        assert repr(decimal.getcontext()) == outer
+
+    def test_poly_products_take_it(self):
+        p = Poly(operand(random.Random(5), 300, 700, "random"))
+        q = Poly(operand(random.Random(6), 301, 700, "negative")) / 3
+        with mock.patch.object(pellred.polyring, "_kronecker_decimal", wraps=_kronecker_decimal) as spy:
+            square, product = p * p, p * q
+        assert spy.call_count == 2
+        assert square.num == tuple(_square_schoolbook(p.num))
+        assert product == Poly(_mul_schoolbook(p.num, q.num)) / 3
 
 
 class TestIntegerDivision:
