@@ -151,12 +151,12 @@ def _cmd_solve_m(args, error) -> int:
 
 
 def _cmd_verify(args, error) -> int:
-    if args.D is not None:
+    if args.D is not None and args.f is None and args.d is None:
         D = parse_poly(args.D)
-    elif args.f is not None and args.d is not None:
+    elif args.D is None and args.f is not None and args.d is not None:
         D = PellProblem(parse_poly(args.f), args.d).D
     else:
-        error("verify needs --D, or -f together with -d")
+        error("verify needs either --D, or -f together with -d")
     ok = verify(parse_poly(args.P), parse_poly(args.Q), D)
     return _emit(args, {"verified": ok}, _bool_text(ok))
 

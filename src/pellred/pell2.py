@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import polyring
 from .polyring import DomainError, NEG_INF, ONE, Poly, X, common_denominator, kronecker_pack
 from .polymat import build_circulant
 from .redei import RedeiPair, check_degree_index, norm_power, redei_recurrence, redei_sequence
@@ -127,15 +128,6 @@ def solve_sequence(problem: PellProblem, n_max: int) -> list[PellSolution | None
     return out
 
 
-#: Longest operand, in coefficients, that ``verify`` checks at one Kronecker
-#: point.  With the polynomial check's long squares in decimal Kronecker
-#: products, the point test was 1.02-1.43x faster than that check at 65 to 129
-#: coefficients, 0.92-1.26x at 193 to 225 and 0.44-0.88x, slower, from 257
-#: (grid in CHANGES.md); operands of 129 coefficients and more keep the
-#: polynomial check.
-KRONECKER_POINT_MAX_LEN = 128
-
-
 def verify(P, Q, D) -> bool:
     """Exact check of P^2 - D*Q^2 == 1 over the rationals.
 
@@ -143,8 +135,7 @@ def verify(P, Q, D) -> bool:
     arithmetic: with L the lcm of the denominators of P and Q, it becomes
     (L*P)^2 - D*(L*Q)^2 == L^2.
 
-    While L*P and L*Q have at most ``KRONECKER_POINT_MAX_LEN`` coefficients,
-    that identity is decided at the one point x = 2^k (Kronecker substitution
+    That identity is decided at the one point x = 2^k (Kronecker substitution
     as a zero test).  With e the denominator of D, the residual
     R = e*(L*P)^2 - (e*D)*(L*Q)^2 - e*L^2 is an integer polynomial, and by the
     1-norm (sum of absolute coefficients) every coefficient of R is at most
@@ -157,19 +148,21 @@ def verify(P, Q, D) -> bool:
     Horner's rule from the coefficients of e*D (shifts and one small
     multiplier per step, not a product with the long, mostly zero D(2^k)),
     and e*(p^2 - L^2) is compared with it as a plain int, with no unpacking.
-    Longer operands keep the polynomial check.
+    These are binary int products, so once L*P or L*Q packs to
+    ``polyring.KRONECKER_DECIMAL_MIN_BITS`` bits or more, the size from which
+    ``Poly`` multiplies in decimal, the polynomial check is taken instead.
     """
     P, Q, D = Poly(P), Poly(Q), Poly(D)
     scale = common_denominator(P, Q)
     P, Q = P * scale, Q * scale
-    if max(P.degree, Q.degree) >= KRONECKER_POINT_MAX_LEN:
-        return P.square() - D * Q.square() == scale * scale
     e = common_denominator(D)
     ps, qs, ds = P.coeffs, Q.coeffs, (D * e).coeffs
     norm_p, norm_q, norm_d = (sum(map(abs, cs)) for cs in (ps, qs, ds))
     # The last term bounds Q's own digits too when D is zero.
     bound = e * (norm_p * norm_p + scale * scale) + norm_d * norm_q * norm_q + norm_q
     w = bound.bit_length() // 8 + 1
+    if max(len(ps), len(qs)) * 8 * w >= polyring.KRONECKER_DECIMAL_MIN_BITS:
+        return P.square() - D * Q.square() == scale * scale
     p, q = kronecker_pack(ps, w), kronecker_pack(qs, w)
     q2, dq2, k = q * q, 0, 8 * w
     for c in reversed(ds):

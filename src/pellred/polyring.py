@@ -669,9 +669,9 @@ def parse_poly(text: str) -> Poly:
             i += 1
         if i == start:
             return None
-        try:
-            return int(text[start:i])
-        except ValueError:  # a non-decimal digit such as '²', or too many digits
+        try:  # ASCII bytes, so a digit such as '²' or '٣' fails to encode
+            return int(text[start:i].encode("ascii"))
+        except ValueError:  # that UnicodeEncodeError, or too many digits
             raise ParseError("malformed number", start) from None
 
     def read_term(sign: int):

@@ -171,6 +171,14 @@ class TestExitCodes:
             main(["verify", "--P", "1", "--Q", "0"])
         assert exc.value.code == 2
 
+    def test_verify_takes_one_target(self, capsys):
+        # --D with -f or -d would leave one of the two targets unchecked.
+        for extra in (["-f", "x", "-d", "1"], ["-f", "x"], ["-d", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--P", "2", "--Q", "1", "--D", "3", *extra])
+            assert exc.value.code == 2
+            assert "verify needs either --D, or -f together with -d" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["verify", "identify"])
     def test_zero_d_with_f_is_one(self, command, capsys):
         # -f with -d means D = f^2 + d, which is defined for d != 0 only.

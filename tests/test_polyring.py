@@ -313,7 +313,7 @@ class TestParseLimits:
         with pytest.raises(ParseError, match="above the maximum degree"):
             parse_poly(f"2+x^{MAX_PARSE_DEGREE + 1}")
 
-    @pytest.mark.parametrize("bad", ["²", "3²", "x^²", "x+²"])
+    @pytest.mark.parametrize("bad", ["²", "3²", "x^²", "x+²", "٣x", "x+１", "x^٢"])
     def test_non_decimal_digits(self, bad):
         with pytest.raises(ParseError, match="malformed number"):
             parse_poly(bad)

@@ -1,10 +1,10 @@
 """``verify``'s one-point Kronecker test against the polynomial check.
 
-Below ``KRONECKER_POINT_MAX_LEN`` coefficients ``verify`` decides
-P^2 - D*Q^2 == 1 from the values of the cleared residual at x = 2^k.  That is
-exact only while k is large enough for the coefficient bound: with k too
-small, a nonzero residual that vanishes at 2^k is accepted without any
-error.  The reference here is the polynomial identity
+While L*P and L*Q pack into fewer than ``KRONECKER_DECIMAL_MIN_BITS`` bits,
+``verify`` decides P^2 - D*Q^2 == 1 from the values of the cleared residual at
+x = 2^k.  That is exact only while k is large enough for the coefficient
+bound: with k too small, a nonzero residual that vanishes at 2^k is accepted
+without any error.  The reference here is the polynomial identity
 (L*P)^2 - D*(L*Q)^2 == L^2, and the deterministic cases are nonzero
 residuals built to vanish at a power of two just below the one ``verify``
 picks.
@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from pellred import pell2
-from pellred.pell2 import KRONECKER_POINT_MAX_LEN, PellProblem, solve, verify
-from pellred.polyring import ONE, Poly, X, ZERO, common_denominator, kronecker_pack
+from pellred import polyring
+from pellred.pell2 import PellProblem, solve, verify
+from pellred.polyring import KRONECKER_DECIMAL_MIN_BITS, ONE, Poly, X, ZERO, common_denominator, kronecker_pack
 
 
 def reference(P, Q, D) -> bool:
@@ -28,17 +28,18 @@ def reference(P, Q, D) -> bool:
 
 @contextmanager
 def cutoff(value):
-    """Run ``verify`` with another point-test cut-off."""
-    saved = pell2.KRONECKER_POINT_MAX_LEN
-    pell2.KRONECKER_POINT_MAX_LEN = value
+    """Run ``verify``, and ``Poly`` products, with another binary/decimal cut-off."""
+    saved = polyring.KRONECKER_DECIMAL_MIN_BITS
+    polyring.KRONECKER_DECIMAL_MIN_BITS = value
     try:
         yield
     finally:
-        pell2.KRONECKER_POINT_MAX_LEN = saved
+        polyring.KRONECKER_DECIMAL_MIN_BITS = saved
 
 
-# The default, always the point test, and never the point test.
-CUTOFFS = (KRONECKER_POINT_MAX_LEN, 10**9, -1)
+# The default, always the point test, and never the point test (whose
+# polynomial check then takes every Kronecker product in decimal).
+CUTOFFS = (KRONECKER_DECIMAL_MIN_BITS, 10**9, -1)
 
 
 def check(P, Q, D) -> bool:
@@ -98,6 +99,21 @@ def tamper(p: Poly, draw) -> Poly:
     return Poly(cs)
 
 
+def squares_taken(P, Q, D, monkeypatch) -> int:
+    """How many ``Poly.square`` calls one true ``verify(P, Q, D)`` made: none
+    on the point test, two (L*P and L*Q) on the polynomial check."""
+    calls = []
+    square = Poly.square
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "square", lambda p: calls.append(p) or square(p))
+        assert verify(P, Q, D)
+    return len(calls)
+
+
+# (f, d, n, packed): solutions whose L*P and L*Q pack at verify's 2^k into
+# ``packed`` bits, just below and just above the default cut-off of 200 000.
+AROUND_THE_CUTOFF = [("3x^2+x-2", -1, 122, 199_920), ("x^3+2x-1", -4, 132, 200_088)]
+
 SETTINGS = settings(max_examples=80, deadline=None)
 
 
@@ -143,14 +159,20 @@ class TestAgainstPolynomialCheck:
         # Q's own digits must fit the packing width although D*Q^2 is zero.
         assert check(P, Q, ZERO) == (P * P == 1)
 
-    def test_operands_on_both_sides_of_the_cutoff(self):
-        f, d = Poly("x^2+x-1"), 2
-        problem = PellProblem(f, d)
-        for n in (62, 64, 66):  # P has 125, 129 and 133 coefficients
-            s = solve(problem, n)
-            assert check(s.P, s.Q, problem.D)
-            assert not check(s.P + 1, s.Q, problem.D)
-            assert not check(s.P, s.Q, problem.D + X)
+    def test_operands_on_both_sides_of_the_cutoff(self, monkeypatch):
+        for f, d, n, packed in AROUND_THE_CUTOFF:
+            problem = PellProblem(Poly(f), d)
+            s, D = solve(problem, n), problem.D
+            below = packed < KRONECKER_DECIMAL_MIN_BITS
+            assert squares_taken(s.P, s.Q, D, monkeypatch) == (0 if below else 2)
+            # The route turns exactly at the packed size.
+            for value, squares in ((packed, 2), (packed + 1, 0)):
+                with cutoff(value):
+                    assert squares_taken(s.P, s.Q, D, monkeypatch) == squares
+            assert check(s.P, s.Q, D)
+            assert not check(s.P + 1, s.Q, D)
+            assert not check(s.P, s.Q * 3, D)
+            assert not check(s.P, s.Q, D + X)
 
 
 def vanishing_cases():
