@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import polyring
-from .polyring import DomainError, NEG_INF, ONE, Poly, X, common_denominator, kronecker_pack
+from .polyring import DomainError, NEG_INF, ONE, Poly, X, common_denominator, kronecker_pack, squares_in_decimal
 from .polymat import build_circulant
 from .redei import RedeiPair, check_degree_index, norm_power, redei_recurrence, redei_sequence
 from .pellm import IrrationalNormalizer, ZeroR, classify_m
@@ -148,21 +147,21 @@ def verify(P, Q, D) -> bool:
     Horner's rule from the coefficients of e*D (shifts and one small
     multiplier per step, not a product with the long, mostly zero D(2^k)),
     and e*(p^2 - L^2) is compared with it as a plain int, with no unpacking.
-    These are binary int products, so once L*P or L*Q packs to
-    ``polyring.KRONECKER_DECIMAL_MIN_BITS`` bits or more, the size from which
-    ``Poly`` multiplies in decimal, the polynomial check is taken instead.
+    These are binary int products, so when ``Poly`` would square L*P or L*Q
+    in decimal (``polyring.squares_in_decimal``, the kernel's own rule), the
+    polynomial check is taken instead.
     """
     P, Q, D = Poly(P), Poly(Q), Poly(D)
     scale = common_denominator(P, Q)
     P, Q = P * scale, Q * scale
+    if squares_in_decimal(P.coeffs) or squares_in_decimal(Q.coeffs):
+        return P.square() - D * Q.square() == scale * scale
     e = common_denominator(D)
     ps, qs, ds = P.coeffs, Q.coeffs, (D * e).coeffs
     norm_p, norm_q, norm_d = (sum(map(abs, cs)) for cs in (ps, qs, ds))
     # The last term bounds Q's own digits too when D is zero.
     bound = e * (norm_p * norm_p + scale * scale) + norm_d * norm_q * norm_q + norm_q
     w = bound.bit_length() // 8 + 1
-    if max(len(ps), len(qs)) * 8 * w >= polyring.KRONECKER_DECIMAL_MIN_BITS:
-        return P.square() - D * Q.square() == scale * scale
     p, q = kronecker_pack(ps, w), kronecker_pack(qs, w)
     q2, dq2, k = q * q, 0, 8 * w
     for c in reversed(ds):

@@ -140,6 +140,32 @@ KRONECKER_DECIMAL_MIN_BITS = 200_000
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 
 
+def _kronecker_bits(a, b) -> int:
+    """A bit bound on every coefficient of the product of a and b: the bit
+    lengths of the largest coefficient of each and of the shorter length."""
+    return (
+        max(abs(c) for c in a).bit_length()
+        + max(abs(c) for c in b).bit_length()
+        + min(len(a), len(b)).bit_length()
+    )
+
+
+def _decimal_digits(shorter: int, bits: int) -> int:
+    """The digit count j of the decimal Kronecker product of operands whose
+    shorter one has ``shorter`` coefficients and whose product coefficients
+    are below 2^bits, or 0 when that product is taken in binary."""
+    # 30103/100000 exceeds log10(2), so 10^(j-1) > 2^bits holds for this j;
+    # for every bits up to 13300, far past j = 640, it is the least such j.
+    j = bits * 30103 // 100000 + 2
+    return j if j <= 640 and shorter * bits >= KRONECKER_DECIMAL_MIN_BITS else 0
+
+
+def squares_in_decimal(cs) -> bool:
+    """Whether ``Poly.square`` of the integer coefficients ``cs`` takes the
+    decimal Kronecker kernel."""
+    return len(cs) >= KRONECKER_MIN_LEN and _decimal_digits(len(cs), _kronecker_bits(cs, cs)) > 0
+
+
 def _mul_kronecker(a, b) -> list:
     """Product of two integer coefficient sequences by Kronecker substitution.
 
@@ -168,15 +194,9 @@ def _mul_kronecker(a, b) -> list:
     coefficient lies strictly inside that half range, the same offset also
     unpacks the product.
     """
-    bits = (
-        max(abs(c) for c in a).bit_length()
-        + max(abs(c) for c in b).bit_length()
-        + min(len(a), len(b)).bit_length()
-    )
-    # 30103/100000 exceeds log10(2), so 10^(j-1) > 2^bits holds for this j;
-    # for every bits up to 13300, far past j = 640, it is the least such j.
-    j = bits * 30103 // 100000 + 2
-    if j <= 640 and min(len(a), len(b)) * bits >= KRONECKER_DECIMAL_MIN_BITS:
+    bits = _kronecker_bits(a, b)
+    j = _decimal_digits(min(len(a), len(b)), bits)
+    if j:
         return _kronecker_decimal(a, b, j)
     w = bits // 8 + 1
     va = kronecker_pack(a, w)

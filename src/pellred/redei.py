@@ -88,14 +88,19 @@ def gen_redei_sequence(z, alpha, m: int, n_max: int) -> list[GenRedeiVec]:
 
         z*N + alpha*D = z*(N + z*D) + c*D,   and D_{n+1} = N + z*D,
 
-    so with s = N + z*D one step is (N, D) -> (z*s + c*D, s): two products
-    by z and one by c instead of products by z, z and alpha.  It is taken
-    when deg c < deg alpha, which is when it is cheaper: every Pell input
-    alpha = f^2 + d with deg f >= 1 (c is the constant d) and
-    ``solve_square_shift``'s alpha = g^2 - 1.  Otherwise (alpha's leading
-    term is not z^2's, as for random alpha) the plain rule runs.  m >= 3
-    keeps the plain rule: the same regroup of alpha = +-z^m + r costs 2m - 1
-    products by z against m + 1, which pays only when m < deg z + 1.
+    so with s = N + z*D one step is (N, D) -> (z*s + c*D, s).  As s is
+    D_{n+1}, z*s is the z*D of the next step: it is carried across the loop
+    (z*D = 0 at n = 0), and a step costs one product by z and one by c,
+    where the plain rule takes products by z, z and alpha.  This is the one
+    m = 2 rule, for every alpha.  For a Pell input alpha = f^2 + d, c is the
+    constant d, and for ``solve_square_shift``'s alpha = g^2 - 1 it is -1.
+    Otherwise deg c <= max(deg alpha, 2*deg z), and the product by c costs
+    at most as many coefficient products as the saved product by z plus the
+    one by alpha unless deg alpha < deg z - 1, which no Pell input has.
+    m >= 3 keeps the plain rule: every component's product by z is needed
+    there, and the same regroup of alpha = +-z^m + c costs 2m - 1 products
+    by z and one by c against m + 1 products, which pays only when
+    m < deg z + 1.
     """
     check_degree_index(m, n_max)
     z, alpha = Poly(z), Poly(alpha)
@@ -103,13 +108,13 @@ def gen_redei_sequence(z, alpha, m: int, n_max: int) -> list[GenRedeiVec]:
     out = [GenRedeiVec(m, 0, z, alpha, tuple(comp))]
     if m == 2:
         c = alpha - z * z
-        if c.degree < alpha.degree:
-            N, D = comp
-            for n in range(1, n_max + 1):
-                s = N + z * D
-                N, D = z * s + c * D, s
-                out.append(GenRedeiVec(2, n, z, alpha, (N, D)))
-            return out
+        N, D, zD = ONE, ZERO, ZERO
+        for n in range(1, n_max + 1):
+            s = N + zD
+            zD = z * s
+            N, D = zD + c * D, s
+            out.append(GenRedeiVec(2, n, z, alpha, (N, D)))
+        return out
     for n in range(1, n_max + 1):
         comp = [z * comp[0] + alpha * comp[m - 1]] + [
             z * comp[i] + comp[i - 1] for i in range(1, m)

@@ -110,26 +110,34 @@ coeffs = st.one_of(
 
 @st.composite
 def shifted_squares(draw):
-    """(z, alpha) with alpha = z^2 + c and deg c < 2*deg z, c = 0 included."""
+    """(z, alpha) with alpha = z^2 + c for any c (c = 0 and deg c > 2*deg z
+    included), or alpha drawn on its own, so every shape of alpha occurs."""
     z = Poly(draw(st.lists(coeffs, max_size=5)))
-    c = Poly(draw(st.lists(coeffs, max_size=max(2 * z.degree, 0))))
-    return z, z * z + c
+    other = Poly(draw(st.lists(coeffs, max_size=10)))
+    return z, (z * z + other if draw(st.booleans()) else other)
 
 
 class TestRegroupedStep:
-    """At m = 2 with deg(alpha - z^2) < deg alpha the step is regrouped
-    through c = alpha - z^2; it must give the plain step rule's pairs."""
+    """At m = 2 the step is regrouped through c = alpha - z^2, with z*D carried
+    from one step to the next, for every alpha; it must give the plain step
+    rule's pairs."""
 
     @settings(max_examples=80, deadline=None)
     @given(shifted_squares(), st.integers(min_value=0, max_value=24))
-    # deg c = 2*deg z - 1, the last degree that takes the regrouped step
-    @example((X * X + 1, (X * X + 1) ** 2 + Poly("x^3-2")), 24)
+    @example((X * X + 1, (X * X + 1) ** 2 + Poly("x^3-2")), 24)  # deg c = 2*deg z - 1
     @example((X * 2 - Fraction(1, 3), (X * 2 - Fraction(1, 3)) ** 2), 24)  # alpha = z^2, c = 0
     @example((Poly(3), Poly(9)), 6)  # z constant, c = 0
     @example((Poly(Fraction(3, 2)), Poly(7)), 6)  # z constant, deg c = deg alpha
     @example((ZERO, Poly("x^2+3")), 9)  # z = 0
     @example((Poly("x+1"), ZERO), 9)  # alpha = 0
+    @example((ZERO, ZERO), 5)  # z = alpha = 0
     @example((X, Poly("2x^2+1")), 12)  # alpha's leading term does not cancel
+    @example((Poly("x^4+2x-1"), Poly("x^2+3")), 12)  # deg alpha < deg z - 1
+    @example((Poly("x^5-x"), Poly("7")), 10)  # deg alpha < deg z - 1, alpha constant
+    @example((X, Poly("x^6-2x+5")), 12)  # deg alpha > 2*deg z
+    # rational z and alpha, with deg alpha < deg z - 1 and deg alpha > 2*deg z
+    @example((Poly([Fraction(1, 2), 0, 0, Fraction(-3, 4)]), Poly([Fraction(2, 3), 5])), 12)
+    @example((Poly([Fraction(-1, 6), Fraction(5, 2)]), Poly([Fraction(7, 4), 0, 0, Fraction(1, 3)])), 12)
     def test_matches_plain_rule_matrix_and_oracle(self, z_alpha, n_max):
         z, alpha = z_alpha
         chain = gen_redei_sequence(z, alpha, 2, n_max)
@@ -137,6 +145,29 @@ class TestRegroupedStep:
             assert chain[n].A == ref
             assert gen_redei(z, alpha, 2, n).A == ref
             assert gen_redei_oracle(z, alpha, 2, n).A == ref
+
+    @pytest.mark.parametrize("z, alpha", [("x^2+3x-1", "x^4+x^2+5"), ("x^3-2", "x+1"), ("2x+1", "x^5-x"), ("x", "x^2+x")])
+    @pytest.mark.parametrize("n_max", [0, 1, 7])
+    def test_one_product_by_z_per_step(self, z, alpha, n_max, monkeypatch):
+        # The z*z in c, then one z*s per step: the next step's z*D is carried.
+        # A Poly converts to itself, so the chain multiplies by this very z;
+        # at z = x, alpha = x^2 + x the c it multiplies by is equal to z but
+        # another object.
+        z, alpha = Poly(z), Poly(alpha)
+        by_z = []
+        mul = Poly.__mul__
+
+        def counting(p, q):
+            if p is z or q is z:
+                by_z.append((p, q))
+            return mul(p, q)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        monkeypatch.setattr(Poly, "__rmul__", counting)
+        chain = gen_redei_sequence(z, alpha, 2, n_max)
+        monkeypatch.undo()
+        assert len(by_z) == n_max + 1
+        assert [vec.A for vec in chain] == plain_step_chain(z, alpha, n_max)
 
 
 class TestNormIdentity:

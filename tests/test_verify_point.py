@@ -1,6 +1,6 @@
 """``verify``'s one-point Kronecker test against the polynomial check.
 
-While L*P and L*Q pack into fewer than ``KRONECKER_DECIMAL_MIN_BITS`` bits,
+While ``Poly`` would square L*P and L*Q in binary (``squares_in_decimal``),
 ``verify`` decides P^2 - D*Q^2 == 1 from the values of the cleared residual at
 x = 2^k.  That is exact only while k is large enough for the coefficient
 bound: with k too small, a nonzero residual that vanishes at 2^k is accepted
@@ -37,8 +37,9 @@ def cutoff(value):
         polyring.KRONECKER_DECIMAL_MIN_BITS = saved
 
 
-# The default, always the point test, and never the point test (whose
-# polynomial check then takes every Kronecker product in decimal).
+# The default, always the point test, and the polynomial check for every L*P
+# or L*Q that ``Poly`` squares by Kronecker substitution with at most 640
+# digits (the check then takes those squares in decimal).
 CUTOFFS = (KRONECKER_DECIMAL_MIN_BITS, 10**9, -1)
 
 
@@ -99,20 +100,34 @@ def tamper(p: Poly, draw) -> Poly:
     return Poly(cs)
 
 
-def squares_taken(P, Q, D, monkeypatch) -> int:
-    """How many ``Poly.square`` calls one true ``verify(P, Q, D)`` made: none
-    on the point test, two (L*P and L*Q) on the polynomial check."""
-    calls = []
-    square = Poly.square
+def kernels_taken(P, Q, D, monkeypatch) -> tuple[int, int]:
+    """How many ``Poly.square`` calls and decimal Kronecker products one true
+    ``verify(P, Q, D)`` made: none on the point test; on the polynomial check
+    two squares (L*P and L*Q), of which those past the cut-off are decimal."""
+    squares, decimal = [], []
+    square, kronecker_decimal = Poly.square, polyring._kronecker_decimal
     with monkeypatch.context() as patch:
-        patch.setattr(Poly, "square", lambda p: calls.append(p) or square(p))
+        patch.setattr(Poly, "square", lambda p: squares.append(p) or square(p))
+        patch.setattr(polyring, "_kronecker_decimal", lambda *args: decimal.append(args) or kronecker_decimal(*args))
         assert verify(P, Q, D)
-    return len(calls)
+    return len(squares), len(decimal)
 
 
-# (f, d, n, packed): solutions whose L*P and L*Q pack at verify's 2^k into
-# ``packed`` bits, just below and just above the default cut-off of 200 000.
-AROUND_THE_CUTOFF = [("3x^2+x-2", -1, 122, 199_920), ("x^3+2x-1", -4, 132, 200_088)]
+def square_packed(p: Poly) -> int:
+    """The size in bits that ``_mul_kronecker`` packs the square of the
+    integer polynomial p to: its length times the bound on the square's
+    coefficients (twice the largest coefficient's bits, plus the length's)."""
+    cs = p.coeffs
+    return len(cs) * (2 * max(map(abs, cs)).bit_length() + len(cs).bit_length())
+
+
+# (f, d, n, packed): solutions whose larger square, of L*P, packs into
+# ``packed`` bits in the Kronecker kernel, just below and just above the
+# default cut-off of 200 000; L*Q's square packs below it in both.  The
+# first packs to 200 088 bits at verify's own 2^k, whose bound is some bytes
+# wider than the kernel's: it must keep the point test, as its squares
+# would run in binary.  The second has a rational P (d = 3, L = 3^68).
+AROUND_THE_CUTOFF = [("x^3+2x-1", -4, 132, 199_691), ("2x^2-1", 3, 136, 200_109)]
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -163,12 +178,16 @@ class TestAgainstPolynomialCheck:
         for f, d, n, packed in AROUND_THE_CUTOFF:
             problem = PellProblem(Poly(f), d)
             s, D = solve(problem, n), problem.D
+            L = common_denominator(s.P, s.Q)
+            assert max(square_packed(s.P * L), square_packed(s.Q * L)) == packed
+            assert square_packed(s.Q * L) < KRONECKER_DECIMAL_MIN_BITS
             below = packed < KRONECKER_DECIMAL_MIN_BITS
-            assert squares_taken(s.P, s.Q, D, monkeypatch) == (0 if below else 2)
+            # The point test, or the polynomial check with L*P squared in decimal.
+            assert kernels_taken(s.P, s.Q, D, monkeypatch) == ((0, 0) if below else (2, 1))
             # The route turns exactly at the packed size.
-            for value, squares in ((packed, 2), (packed + 1, 0)):
+            for value, kernels in ((packed, (2, 1)), (packed + 1, (0, 0))):
                 with cutoff(value):
-                    assert squares_taken(s.P, s.Q, D, monkeypatch) == squares
+                    assert kernels_taken(s.P, s.Q, D, monkeypatch) == kernels
             assert check(s.P, s.Q, D)
             assert not check(s.P + 1, s.Q, D)
             assert not check(s.P, s.Q * 3, D)
