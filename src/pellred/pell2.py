@@ -4,8 +4,8 @@ Substituting z = f and alpha = f^2 + d into the Redei norm identity gives
 N_n^2 - (f^2 + d) * D_n^2 = (-d)^n, so dividing the pair by (-d)^(n/2)
 produces a solution of the Pell equation whenever that power is rational.
 This module generates those solutions, classifies when they are integer
-polynomials, runs the degree-reducing descent step, and identifies arbitrary
-integer solutions against the generated family by descending them to (1, 0).
+polynomials, runs the degree-reducing descent step, and identifies verified
+solutions against the generated family by descending them to (1, 0).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import DomainError, NEG_INF, ONE, Poly, X, common_denominator, kronecker_pack, squares_in_decimal
+from .polyring import DomainError, ONE, Poly, X, ZERO, common_denominator, kronecker_pack, squares_in_decimal
 from .polymat import build_circulant
 from .redei import RedeiPair, check_degree_index, norm_power, redei_recurrence, redei_sequence
 from .pellm import IrrationalNormalizer, ZeroR, classify_m
@@ -84,15 +84,10 @@ class IntegralityClass:
 
 
 def classify(d: int) -> IntegralityClass:
-    """Classify d by which normalized solutions are integer polynomials."""
+    """The integrality class of d, read from ``classify_m(d, 2, n)`` at n = 1 and 2."""
     if d == 0:
         raise ZeroD("d must be a nonzero integer")
-    if d == -1:
-        tag = "ALL_N"
-    elif d in (1, 2, -2):
-        tag = "EVEN_N"
-    else:
-        tag = "NONE"
+    tag = "ALL_N" if classify_m(d, 2, 1) else "EVEN_N" if classify_m(d, 2, 2) else "NONE"
     return IntegralityClass(tag, d)
 
 
@@ -192,13 +187,19 @@ def _positive_leading(p: Poly) -> Poly:
 
 
 def identify_solution(P, Q, f, d: int) -> int | None:
-    """Match a verified integer solution against the generated family.
+    """The index n of a verified solution in the generated family, or None.
 
-    Rescales (P, Q) to the norm level (-d)^n implied by deg P = n * deg f and
-    descends repeatedly, normalizing signs at each step.  Returns n when the
-    chain ends at (1, 0) after exactly n integral, degree-dropping steps; None
-    if any step breaks the expected degrees or integrality, or if (-d)^(n/2)
-    is irrational, since no solution of the family has that index then.
+    (P, Q) must solve P^2 - (f^2+d)*Q^2 = 1 (else ``NotASolution``) and may
+    be rational, as family members with a normalizer other than +-1 are.
+    n is read off deg P = n * deg f.  With P, Q and f made positive-leading,
+    the pair is rescaled by |(-d)^(n/2)| and descended n times.  ``descend``
+    inverts the Redei step (N, D) -> (f*N + alpha*D, N + f*D), so n descents
+    end at (1, 0) exactly when the rescaled pair is (N_n, D_n), whose leading
+    coefficients are positive as f's is.  None for any other pair, for a
+    constant f, or when (-d)^(n/2) is irrational (no member has that index).
+
+    >>> identify_solution(Poly("8x^8-8x^4+1"), Poly("8x^6-4x^2"), Poly("x^2"), -1)
+    4
     """
     P, Q = Poly(P), Poly(Q)
     problem = PellProblem(f, d)
@@ -207,29 +208,16 @@ def identify_solution(P, Q, f, d: int) -> int | None:
     if Q.is_zero():
         return 0
     f = _positive_leading(problem.f)
-    deg_f = f.degree
-    if deg_f < 1:
+    if f.degree < 1 or P.degree % f.degree:
         return None
-    deg_p = P.degree
-    if deg_p % deg_f:
-        return None
-    n = deg_p // deg_f
-    if Q.degree != (n - 1) * deg_f:
-        return None
+    n = P.degree // f.degree
     scale = norm_power(-d, 2, n)
     if scale is None:
         return None
-    cur_p, cur_q = (_positive_leading(p) * abs(scale) for p in (P, Q))
+    pair = (_positive_leading(P) * abs(scale), _positive_leading(Q) * abs(scale))
     for level in range(n, 0, -1):
-        cur_p, cur_q = map(_positive_leading, descend(cur_p, cur_q, f, d, level))
-        if not (cur_p.is_integral() and cur_q.is_integral()):
-            return None
-        remaining = level - 1
-        if cur_p.degree != remaining * deg_f:
-            return None
-        if cur_q.degree != ((remaining - 1) * deg_f if remaining else NEG_INF):
-            return None
-    return n if cur_p == ONE else None
+        pair = descend(*pair, f, d, level)
+    return n if pair == (ONE, ZERO) else None
 
 
 def solve_square_shift(f, n: int) -> PellSolution | None:

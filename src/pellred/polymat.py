@@ -80,8 +80,6 @@ class PolyMatrix:
     def det_bareiss(self) -> Poly:
         """Fraction-free Bareiss elimination; every division is exact."""
         n = self.dim
-        if n == 1:
-            return self.rows[0][0]
         m = [list(row) for row in self.rows]
         sign = 1
         prev = ONE

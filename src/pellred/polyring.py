@@ -142,12 +142,11 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 
 def _kronecker_bits(a, b) -> int:
     """A bit bound on every coefficient of the product of a and b: the bit
-    lengths of the largest coefficient of each and of the shorter length."""
-    return (
-        max(abs(c) for c in a).bit_length()
-        + max(abs(c) for c in b).bit_length()
-        + min(len(a), len(b)).bit_length()
-    )
+    lengths of the largest coefficient of each and of the shorter length.
+    A square (b is a) scans its operand once."""
+    top_a = max(map(abs, a)).bit_length()
+    top_b = top_a if b is a else max(map(abs, b)).bit_length()
+    return top_a + top_b + min(len(a), len(b)).bit_length()
 
 
 def _decimal_digits(shorter: int, bits: int) -> int:

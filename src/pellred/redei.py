@@ -27,14 +27,20 @@ from .polyring import DomainError, ONE, Poly, ZERO
 from .polymat import PolyMatrix, build_circulant
 
 
+#: Largest degree m taken; the paper's cases have m <= 5, and ``solve_m`` at
+#: m = n = 64 already takes about a second.
+MAX_M = 64
+
+
 class InvalidIndex(DomainError):
-    """The degree m is below 2 or the index n is negative."""
+    """The degree m is outside 2..MAX_M or the index n is negative."""
 
 
 def check_degree_index(m: int, n: int) -> None:
-    """Raise InvalidIndex unless m >= 2 and n >= 0."""
-    if m < 2 or n < 0:
-        raise InvalidIndex(f"need m >= 2 and n >= 0, got m={m}, n={n}")
+    """Raise InvalidIndex unless 2 <= m <= MAX_M and n >= 0.  Every degree-m
+    entry point calls this first, before any m x m work or primality test."""
+    if not 2 <= m <= MAX_M or n < 0:
+        raise InvalidIndex(f"need 2 <= m <= {MAX_M} and n >= 0, got m={m}, n={n}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pellred.polyring import ONE, Poly, ZERO
+from pellred.polyring import NEG_INF, ONE, Poly, ZERO
 from pellred.pell2 import (
     NotASolution,
     OddIndexUndefined,
@@ -22,7 +22,7 @@ from pellred.pell2 import (
     verify,
 )
 from pellred.pellm import IrrationalNormalizer, ZeroR, classify_m
-from pellred.redei import InvalidIndex, redei_recurrence, redei_sequence
+from pellred.redei import InvalidIndex, norm_power, redei_recurrence, redei_sequence
 
 F_SET = (Poly("x"), Poly("x^2"), Poly("x^3+x"))
 
@@ -220,6 +220,13 @@ class TestIdentify:
                     for P, Q in ((s.P, s.Q), (-s.P, s.Q), (s.P, -s.Q), (-s.P, -s.Q)):
                         assert identify_solution(P, Q, f, d) == s.n, (f, d, s.n)
 
+    def test_rational_f_family(self):
+        # For f = x/2 the intermediate pairs of the chain are not integral;
+        # the index is still found.
+        f = Poly([0, Fraction(1, 2)])
+        for s in solve_sequence(PellProblem(f, -1), 6):
+            assert identify_solution(s.P, s.Q, f, -1) == s.n
+
     def test_non_solution_rejected(self):
         with pytest.raises(NotASolution):
             identify_solution(Poly("x"), ONE, Poly("x"), 3)
@@ -232,6 +239,99 @@ class TestIdentify:
     def test_zero_f_unidentified(self):
         # (3, 2) solves P^2 - 2*Q^2 = 1 with f = 0, d = 2; deg f is NEG_INF.
         assert identify_solution(Poly(3), Poly(2), ZERO, 2) is None
+
+
+def _positive_leading(p):
+    return -p if p.leading < 0 else p
+
+
+def _identify_per_level(P, Q, f, d):
+    """Reference: ``identify_solution`` with every level checked.
+
+    After each descent the signs are normalized again, and the pair must be
+    integral with the degrees of (N_k, D_k).  ``identify_solution`` itself
+    takes n plain descents and one comparison with (1, 0).
+    """
+    P, Q = Poly(P), Poly(Q)
+    problem = PellProblem(f, d)
+    if not verify(P, Q, problem.D):
+        raise NotASolution("P^2 - (f^2+d)*Q^2 != 1")
+    if Q.is_zero():
+        return 0
+    f = _positive_leading(problem.f)
+    deg_f = f.degree
+    if deg_f < 1:
+        return None
+    deg_p = P.degree
+    if deg_p % deg_f:
+        return None
+    n = deg_p // deg_f
+    if Q.degree != (n - 1) * deg_f:
+        return None
+    scale = norm_power(-d, 2, n)
+    if scale is None:
+        return None
+    cur_p, cur_q = (_positive_leading(p) * abs(scale) for p in (P, Q))
+    for level in range(n, 0, -1):
+        cur_p, cur_q = map(_positive_leading, descend(cur_p, cur_q, f, d, level))
+        if not (cur_p.is_integral() and cur_q.is_integral()):
+            return None
+        remaining = level - 1
+        if cur_p.degree != remaining * deg_f:
+            return None
+        if cur_q.degree != ((remaining - 1) * deg_f if remaining else NEG_INF):
+            return None
+    return n if cur_p == ONE else None
+
+
+def _outcome(rule, *args):
+    try:
+        return rule(*args)
+    except Exception as exc:  # compared by type against the other rule
+        return type(exc)
+
+
+def _signs(P, Q):
+    return ((P, Q), (-P, Q), (P, -Q), (-P, -Q))
+
+
+class TestIdentifyDifferential:
+    # Integer f only: for a rational f the intermediate (N_k, D_k) are not
+    # integral, so the per-level rule refuses family members it should keep.
+    F_DIFF = (
+        Poly("x"), Poly("-x"), Poly("x^2+x"), Poly("-2x+1"), Poly("3x+3"),
+        Poly("-x^3+2x"), Poly(2), Poly(-3), ZERO,
+    )
+
+    def _family(self, f, d, n_max):
+        """Every solution ``solve`` defines for f and for -f, up to n_max."""
+        out = []
+        for g in (f, -f):
+            out += [(s.P, s.Q) for s in solve_sequence(PellProblem(g, d), n_max) if s is not None]
+        return out
+
+    def test_agrees_with_per_level_rule(self):
+        rng = random.Random(16)
+        checked = 0
+        for f in self.F_DIFF:
+            for d in (*range(-6, 0), *range(1, 7)):
+                D = f * f + d
+                family = self._family(f, d, 8)
+                cases = [pq for P, Q in family for pq in _signs(P, Q)]
+                # Products and quotients of two solutions: the product with
+                # (P2, -Q2) is the quotient by (P2, Q2).
+                for _ in range(4):
+                    (P1, Q1), (P2, Q2) = rng.choice(family), rng.choice(family)
+                    for P2s, Q2s in _signs(P2, Q2):
+                        cases.append((P1 * P2s + D * Q1 * Q2s, P1 * Q2s + Q1 * P2s))
+                P, Q = rng.choice(family)
+                cases.append((P * 2, Q))
+                for P, Q in cases:
+                    want = _outcome(_identify_per_level, P, Q, f, d)
+                    got = _outcome(identify_solution, P, Q, f, d)
+                    assert got == want, (f, d, P, Q)
+                    checked += 1
+        assert checked > 6000
 
 
 class TestSquareShift:

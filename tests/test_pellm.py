@@ -20,7 +20,8 @@ from pellred.pellm import (
     step_matrix,
     verify_m,
 )
-from pellred.redei import InvalidIndex, redei_recurrence
+from pellred.cli import main
+from pellred.redei import MAX_M, InvalidIndex, check_degree_index, redei_recurrence
 
 
 @contextmanager
@@ -169,6 +170,36 @@ class TestSolveM:
             classify_m(1, m, n)
         with pytest.raises(InvalidIndex):
             divisibility_probe(Poly("x"), m, n)
+
+
+class TestDegreeBound:
+    BIG = "1000000000000000003"  # a prime, so probe would test it by trial division
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "-r", BIG, "-m", BIG, "-n", "0"],
+            ["probe", "-f", "x", "-m", BIG, "--n-max", "1"],
+            ["solve-m", "-f", "x", "-r", "1", "-m", "100000", "-n", "0"],
+        ],
+    )
+    def test_large_m_refused_at_once(self, argv, capsys):
+        with time_limit(1):
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("InvalidIndex: ")
+        assert captured.out == ""
+
+    def test_bound_itself_accepted(self, capsys):
+        check_degree_index(MAX_M, 0)
+        with pytest.raises(InvalidIndex):
+            check_degree_index(MAX_M + 1, 0)
+        assert classify_m(1, MAX_M, MAX_M)
+        with time_limit(1):
+            assert main(["solve-m", "-f", "x", "-r", "-1", "-m", str(MAX_M), "-n", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == [f"R = x^{MAX_M}-1", "P1 = x", "P2 = 1"]
+        assert out[-2:] == ["integral = true", "normalizer = 1"]
 
 
 class TestClassifyM:
