@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import DomainError, ONE, Poly, X, ZERO, common_denominator, kronecker_pack, squares_in_decimal
+from .kernels import kronecker_pack, squares_in_decimal
+from .polyring import DomainError, ONE, Poly, X, ZERO, common_denominator
 from .polymat import build_circulant
 from .redei import RedeiPair, check_degree_index, norm_power, redei_recurrence, redei_sequence
 from .pellm import IrrationalNormalizer, ZeroR, classify_m
@@ -138,12 +139,12 @@ def verify(P, Q, D) -> bool:
     coefficient c would satisfy 0 < |c| < 2^k, so R(2^k) = 2^(k*j)*(c + 2^k*s)
     for integers j, s would not vanish.  Hence R(2^k) == 0 iff R == 0: the
     test is exact, not probabilistic.  L*P and L*Q are packed at 2^k by
-    ``polyring.kronecker_pack`` into ints p and q, D(2^k)*q^2 is built by
+    ``kernels.kronecker_pack`` into ints p and q, D(2^k)*q^2 is built by
     Horner's rule from the coefficients of e*D (shifts and one small
     multiplier per step, not a product with the long, mostly zero D(2^k)),
     and e*(p^2 - L^2) is compared with it as a plain int, with no unpacking.
     These are binary int products, so when ``Poly`` would square L*P or L*Q
-    in decimal (``polyring.squares_in_decimal``, the kernel's own rule), the
+    in decimal (``kernels.squares_in_decimal``, the kernel's own rule), the
     polynomial check is taken instead.
     """
     P, Q, D = Poly(P), Poly(Q), Poly(D)

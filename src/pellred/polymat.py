@@ -2,14 +2,17 @@
 
 Products, binary-exponentiation powers, exact determinants (fraction-free
 Bareiss with a cofactor fallback for tiny sizes), characteristic polynomials,
-and the twisted-circulant builder used by the degree-m Pell equation.
+and the twisted-circulant builder used by the degree-m Pell equation.  Every
+sum of products here is one ``polyring.dot``, which takes one kernel for the
+whole sum: a product's entries, Berkowitz's dots and Toeplitz sums, a
+cofactor expansion and Bareiss's cross term.
 """
 
 from __future__ import annotations
 
 from operator import matmul
 
-from .polyring import DomainError, ONE, Poly, ZERO, power
+from .polyring import DomainError, ONE, Poly, ZERO, dot, power
 
 
 class DimensionMismatch(DomainError):
@@ -59,7 +62,7 @@ class PolyMatrix:
         if self.dim != other.dim:
             raise DimensionMismatch(f"cannot multiply {self.dim}x{self.dim} by {other.dim}x{other.dim}")
         cols = list(zip(*other.rows))
-        return PolyMatrix([[_dot(row, col) for col in cols] for row in self.rows])
+        return PolyMatrix([[dot(row, col) for col in cols] for row in self.rows])
 
     def pow(self, n: int) -> PolyMatrix:
         """n-th power by binary exponentiation; the 0th power is the identity."""
@@ -92,11 +95,13 @@ class PolyMatrix:
                         break
                 else:
                     return ZERO
+            pivot = m[k][k]
             for i in range(k + 1, n):
+                # m[k][k]*m[i][j] - m[i][k]*m[k][j] as one sum of products
+                scales = (pivot, -m[i][k])
                 for j in range(k + 1, n):
-                    num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                    m[i][j] = num.div_exact(prev)
-            prev = m[k][k]
+                    m[i][j] = dot(scales, (m[i][j], m[k][j])).div_exact(prev)
+            prev = pivot
         result = m[n - 1][n - 1]
         return result if sign == 1 else -result
 
@@ -117,12 +122,10 @@ class PolyMatrix:
             toeplitz = [ONE, -rows[k][k]]
             for j in range(k):
                 if j:
-                    vec = [_dot(rows[i][:k], vec) for i in range(k)]
-                toeplitz.append(-_dot(row, vec))
-            coeffs = [
-                sum((toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1)), ZERO)
-                for i in range(k + 2)
-            ]
+                    vec = [dot(rows[i][:k], vec) for i in range(k)]
+                toeplitz.append(-dot(row, vec))
+            # Entry i is the sum of toeplitz[i - j] * coeffs[j] over j <= i.
+            coeffs = [dot(toeplitz[i::-1], coeffs) for i in range(k + 2)]
         return tuple(reversed(coeffs))
 
     # -- JSON form -------------------------------------------------------------
@@ -135,24 +138,14 @@ class PolyMatrix:
         return cls([[Poly.from_json(e) for e in row] for row in data])
 
 
-def _dot(a, b) -> Poly:
-    return sum((x * y for x, y in zip(a, b) if x and y), ZERO)
-
-
 def _det_cofactor(rows) -> Poly:
-    n = len(rows)
-    if n == 1:
+    if len(rows) == 1:
         return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = ZERO
-    for j, top in enumerate(rows[0]):
-        if top.is_zero():
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = top * _det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    signed = [top if j % 2 == 0 else -top for j, top in enumerate(rows[0])]
+    minors = [
+        _det_cofactor([r[:j] + r[j + 1 :] for r in rows[1:]]) if top else ZERO for j, top in enumerate(rows[0])
+    ]
+    return dot(signed, minors)
 
 
 def build_circulant(sols, R) -> PolyMatrix:

@@ -9,14 +9,22 @@ ints only.  ``coeffs`` is the int/Fraction view of the same value, built on
 access.  Only this module reads ``num`` and ``den``.  Polynomials are
 immutable values: ``Poly(p)`` is ``p`` itself, and every operation returns a
 canonical polynomial.
+
+Products run on the integer numerators through the kernels of
+``pellred.kernels``: schoolbook, or Kronecker substitution at a binary or a
+decimal radix, picked by one predicate.  ``Poly.__mul__`` asks it for one
+product, and ``dot`` for a whole sum of products, which it then packs,
+multiplies and unpacks once.
 """
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, mul, neg, sub
+
+from .kernels import _kernel, _kronecker, _mul_schoolbook, _square_schoolbook
 
 #: Degree of the zero polynomial.  A real sentinel (not -1) so that degree
 #: comparisons work and it never equals a real degree.  Arithmetic on it is
@@ -78,151 +86,6 @@ def power(base, n: int, one, product):
         if bit == "1":
             result = product(result, base)
     return result
-
-
-#: Shortest operand, in coefficients, from which a product goes through
-#: Kronecker substitution: the shortest length at which it was no slower than
-#: schoolbook for any coefficient size measured (8 to 1024 bits; crossover
-#: grid in CHANGES.md).
-KRONECKER_MIN_LEN = 32
-
-
-def _mul_schoolbook(a, b) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b, i):
-                if cb:
-                    out[j] += ca * cb
-    return out
-
-
-def _square_schoolbook(cs) -> list:
-    """Schoolbook square doing only the symmetric half of the products."""
-    out = [0] * (2 * len(cs) - 1)
-    for i, ci in enumerate(cs):
-        if ci:
-            out[2 * i] += ci * ci
-            twice = ci * 2
-            for j in range(i + 1, len(cs)):
-                cj = cs[j]
-                if cj:
-                    out[i + j] += twice * cj
-    return out
-
-
-def kronecker_pack(cs, w: int) -> int:
-    """The value at x = 2^(8w) of the integer coefficients ``cs`` (ascending).
-
-    Requires |c| < 2^(8w-1) for every c.  Adding that half-range to each
-    coefficient makes it a non-negative w-byte digit, as byte packing needs;
-    the same offset is subtracted again as one integer.
-    """
-    half = 1 << (8 * w - 1)
-    digits = b"".join((c + half).to_bytes(w, "little") for c in cs)
-    offsets = half.to_bytes(w, "little") * len(cs)
-    return int.from_bytes(digits, "little") - int.from_bytes(offsets, "little")
-
-
-#: Smallest packed size, in bits, of the shorter operand (its length times
-#: ``_mul_kronecker``'s digit bound ``bits``) from which a Kronecker product
-#: is taken in decimal.  From 210 kbit on, decimal was the faster kernel for
-#: every shape measured: squares and products, balanced and lopsided, 64 to
-#: 1000 coefficients of 100 to 1000 bits (up to 4x at 2 Mbit); below 200 kbit
-#: it was up to 2.8x slower on some shapes (grid in CHANGES.md).
-KRONECKER_DECIMAL_MIN_BITS = 200_000
-
-#: Exact decimal arithmetic for the decimal Kronecker product: no operation
-#: on integers can round within MAX_PREC digits, and if one did, the trapped
-#: Rounded/Inexact signal would raise instead of changing a digit.  Only the
-#: context's own methods use it, so the caller's decimal context is never
-#: read or changed.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
-
-
-def _kronecker_bits(a, b) -> int:
-    """A bit bound on every coefficient of the product of a and b: the bit
-    lengths of the largest coefficient of each and of the shorter length.
-    A square (b is a) scans its operand once."""
-    top_a = max(map(abs, a)).bit_length()
-    top_b = top_a if b is a else max(map(abs, b)).bit_length()
-    return top_a + top_b + min(len(a), len(b)).bit_length()
-
-
-def _decimal_digits(shorter: int, bits: int) -> int:
-    """The digit count j of the decimal Kronecker product of operands whose
-    shorter one has ``shorter`` coefficients and whose product coefficients
-    are below 2^bits, or 0 when that product is taken in binary."""
-    # 30103/100000 exceeds log10(2), so 10^(j-1) > 2^bits holds for this j;
-    # for every bits up to 13300, far past j = 640, it is the least such j.
-    j = bits * 30103 // 100000 + 2
-    return j if j <= 640 and shorter * bits >= KRONECKER_DECIMAL_MIN_BITS else 0
-
-
-def squares_in_decimal(cs) -> bool:
-    """Whether ``Poly.square`` of the integer coefficients ``cs`` takes the
-    decimal Kronecker kernel."""
-    return len(cs) >= KRONECKER_MIN_LEN and _decimal_digits(len(cs), _kronecker_bits(cs, cs)) > 0
-
-
-def _mul_kronecker(a, b) -> list:
-    """Product of two integer coefficient sequences by Kronecker substitution.
-
-    Both operands are evaluated at one radix x, the two integers are
-    multiplied once, and the digits of the product in base x are its
-    coefficients (Harvey 2009, J. Symb. Comp. 44).  Every product coefficient
-    is below 2^bits in absolute value, bits summing the bit lengths of the
-    largest coefficient of each operand and of the shorter length.
-
-    - Binary, x = 2^(8w) with w = bits // 8 + 1: packed by ``kronecker_pack``
-      and multiplied by CPython's int product (Karatsuba, O(n^1.58)).
-    - Decimal, x = 10^j with j the least digit count such that 10^(j-1) >
-      2^bits: multiplied by libmpdec, the C engine of ``decimal``, which takes
-      a number-theoretic transform for long operands (O(n log n), in the line
-      of Schoenhage & Strassen 1971, Computing 7), in the exact context
-      ``_EXACT``.  Taken when the shorter operand packs to at least
-      ``KRONECKER_DECIMAL_MIN_BITS`` and j <= 640.  Every int this path
-      converts to or from text then has at most 640 digits, and 640 is the
-      lowest int/str digit limit that ``sys.set_int_max_str_digits`` accepts
-      (``sys.int_info.str_digits_check_threshold``), so no limit setting can
-      make it raise.  Wider coefficients keep the binary path.
-
-    Either way each coefficient is stored with the half-range offset of its
-    digit (2^(8w-1), or 5*10^(j-1)) added, so every digit is non-negative,
-    and the offset is subtracted again as one number.  As every product
-    coefficient lies strictly inside that half range, the same offset also
-    unpacks the product.
-    """
-    bits = _kronecker_bits(a, b)
-    j = _decimal_digits(min(len(a), len(b)), bits)
-    if j:
-        return _kronecker_decimal(a, b, j)
-    w = bits // 8 + 1
-    va = kronecker_pack(a, w)
-    product = va * (va if b is a else kronecker_pack(b, w))
-    size = len(a) + len(b) - 1
-    half = 1 << (8 * w - 1)
-    product += int.from_bytes(half.to_bytes(w, "little") * size, "little")
-    digits = product.to_bytes(w * size, "little")
-    return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * size, w)]
-
-
-def _kronecker_decimal(a, b, j: int) -> list:
-    # Every operand and product coefficient c has |c| < 2^bits < 10^(j-1), so
-    # c + half has exactly j digits: blocks need no padding, and the text of
-    # the offset product is exactly j * size digits, most significant first.
-    half = 5 * 10 ** (j - 1)
-    offset = str(half)
-
-    def pack(cs):
-        digits = _EXACT.create_decimal("".join([str(c + half) for c in reversed(cs)]))
-        return _EXACT.subtract(digits, _EXACT.create_decimal(offset * len(cs)))
-
-    va = pack(a)
-    product = _EXACT.multiply(va, va if b is a else pack(b))
-    size = len(a) + len(b) - 1
-    digits = _EXACT.to_sci_string(_EXACT.add(product, _EXACT.create_decimal(offset * size)))
-    return [int(digits[i - j : i]) - half for i in range(j * size, 0, -j)]
 
 
 _new = object.__new__
@@ -376,7 +239,9 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return _make(tuple(map(neg, self.num)), self.den)
+        # From a list, so the tuple is allocated at its size and can come from
+        # (and return to) the interpreter's free list for that size.
+        return _make(tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other) -> Poly:
         return self._add_sub(other, sub)
@@ -426,8 +291,10 @@ class Poly:
                 return self._scale(b[0], other.den)
             if len(a) == 1:
                 return other._scale(a[0], self.den)
-            if min(len(a), len(b)) >= KRONECKER_MIN_LEN:
-                out = _mul_kronecker(a, b)
+            la, lb = len(a), len(b)
+            bits, j = _kernel(la, lb, (a,), (b,)) if la <= lb else _kernel(lb, la, (a,), (b,))
+            if bits:
+                out = _kronecker((a,), (b,), bits, j)
             elif a is b:  # p * p, or p * (p / k): the symmetric half only
                 out = _square_schoolbook(a)
             else:
@@ -465,7 +332,8 @@ class Poly:
         s*num(self) == quot*num(other) + rem.  A step whose quotient is not
         an integer first multiplies quot, rem and s by the least factor that
         makes it one, so exact division (as in Bareiss elimination) stays in
-        plain integer arithmetic.
+        plain integer arithmetic.  A constant divisor takes no loop: self is
+        scaled by its inverse, with one content gcd.
         """
         other = _operand(other)
         if other is NotImplemented:
@@ -473,6 +341,8 @@ class Poly:
         b = other.num
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
+        if len(b) == 1:  # a constant divides as a scale, as Bareiss's first step does by ONE
+            return self._scale(other.den, b[0]), ZERO
         da, db = len(self.num) - 1, len(b) - 1
         if da < db:
             return ZERO, self
@@ -623,6 +493,37 @@ def common_denominator(*polys: Poly) -> int:
     scale by it so that their checks run in integer arithmetic.
     """
     return lcm(*(p.den for p in polys))
+
+
+def dot(xs, ys) -> Poly:
+    """The exact sum of x*y over the pairs ``zip(xs, ys)`` of Polys.
+
+    Pairs with a zero side are skipped.  Over integer Polys the whole sum
+    takes one kernel, which ``kernels._kernel`` picks from the longest
+    shorter and longer operands and the work of all pairs: every pair packed
+    at one Kronecker radix, the int products summed and the sum unpacked
+    once; or schoolbook products accumulated into one int list.  A sum with a
+    rational operand, or of one pair, is the plain sum of the products.
+
+    >>> dot([Poly("x+1"), Poly(2)], [Poly("x-1"), X])
+    Poly('x^2+2x-1')
+    """
+    pairs = [(x, y) for x, y in zip(xs, ys) if x.num and y.num]
+    if len(pairs) < 2 or any(x.den != 1 or y.den != 1 for x, y in pairs):
+        return sum((x * y for x, y in pairs), ZERO)
+    xs, ys = [x.num for x, _ in pairs], [y.num for _, y in pairs]
+    short = max(min(len(a), len(b)) for a, b in zip(xs, ys))
+    long = max(max(len(a), len(b)) for a, b in zip(xs, ys))
+    bits, j = _kernel(short, long, xs, ys)
+    if bits:
+        return _reduce(_kronecker(xs, ys, bits, j), 1)
+    out = [0] * max(len(a) + len(b) - 1 for a, b in zip(xs, ys))
+    for a, b in zip(xs, ys):
+        if a is b:
+            _square_schoolbook(a, out)
+        else:
+            _mul_schoolbook(a, b, out)
+    return _reduce(out, 1)
 
 
 def format_poly(p: Poly) -> str:

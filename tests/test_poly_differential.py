@@ -14,14 +14,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pellred.polyring import (
-    KRONECKER_MIN_LEN,
-    Poly,
-    _mul_schoolbook,
-    _square_schoolbook,
-    decimal_str,
-    format_poly,
-)
+from pellred.kernels import KRONECKER_FLOOR, KRONECKER_MIN_LEN, _mul_schoolbook, _square_schoolbook
+from pellred.polyring import ONE, Poly, decimal_str, format_poly
 
 
 def _canon(coeffs) -> tuple:
@@ -145,8 +139,10 @@ coeff = st.one_of(ints, fracs)
 short_lists = st.lists(coeff, max_size=6)
 coeff_lists = st.one_of(
     short_lists,
-    # Integer-only operands long enough for the Kronecker kernel.
+    # Integer-only operands long enough for the Kronecker kernel, always or
+    # by the band of lengths between the floor and KRONECKER_MIN_LEN.
     st.lists(st.integers(-(2**40), 2**40), min_size=KRONECKER_MIN_LEN, max_size=KRONECKER_MIN_LEN + 3),
+    st.lists(st.integers(-(2**40), 2**40), min_size=KRONECKER_FLOOR - 1, max_size=KRONECKER_MIN_LEN - 1),
 )
 
 
@@ -255,6 +251,22 @@ class TestAgainstReference:
             else:
                 for got, want in zip(divmod(s, p), divmod(rs, rp)):
                     assert_same(got, want)
+
+    @SETTINGS
+    @given(pairs, st.integers(-(2**70), -1), st.builds(Fraction, ints, dens.filter(lambda d: d > 1)))
+    def test_divmod_by_constant(self, a, negative, fraction):
+        # A constant divisor scales instead of running the division loop; the
+        # reference runs long division.
+        p, rp = a
+        for const in (ONE, Poly(negative), Poly(fraction), Poly([-fraction])):
+            if not const:
+                continue
+            quot, rem = divmod(p, const)
+            rquot, rrem = divmod(rp, RefPoly(const.coeffs))
+            assert_same(quot, rquot)
+            assert_same(rem, rrem)
+            assert rem == 0
+            assert p.div_exact(const) == quot
 
     @SETTINGS
     @given(pairs, st.booleans())

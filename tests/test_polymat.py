@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pellred.polymat import DimensionMismatch, PolyMatrix, build_circulant
 from pellred.polyring import ONE, Poly, ZERO
+from pellred.redei import step_matrix
 
 Z = Poly("x^2+1")
 A = Poly("x^4-1")
@@ -105,6 +108,42 @@ class TestDeterminant:
     def test_det_of_power(self, case):
         a, n = case
         assert a.pow(n).det() == a.det() ** n
+
+
+fraction_entries = st.lists(
+    st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))), max_size=4
+).map(Poly)
+# Long integer entries, so the m x m products reach the Kronecker kernel.
+long_entries = st.lists(st.integers(-(2**40), 2**40), min_size=9, max_size=14).map(Poly)
+
+
+def square_matrices(entry):
+    return st.integers(min_value=3, max_value=6).flatmap(
+        lambda d: st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d).map(PolyMatrix)
+    )
+
+
+class TestDeterminantsAgree:
+    """Bareiss, cofactor expansion and Berkowitz's constant term at m = 3..6."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.one_of(square_matrices(entries), square_matrices(fraction_entries), square_matrices(long_entries)))
+    def test_three_ways(self, m):
+        det = m.det_cofactor()
+        assert m.det_bareiss() == det
+        assert m.det() == det
+        cp = m.char_poly()
+        assert cp[0] == det * (-1) ** m.dim and cp[-1] == ONE
+        assert cp[-2] == -sum((m.entry(i, i) for i in range(m.dim)), ZERO)
+
+    def test_circulant_of_a_redei_vector(self):
+        # The m = 5 circulant of a step-matrix power has det (z^5 + alpha)^n.
+        z, alpha = Poly("x^2-3x+1"), Poly("-x^10+2")
+        power = step_matrix(z, alpha, 5).pow(4)
+        circ = build_circulant(power.column(0), alpha)
+        want = (z**5 + alpha) ** 4
+        assert circ == power
+        assert circ.det_bareiss() == circ.det_cofactor() == want
 
 
 class TestCirculant:

@@ -12,19 +12,27 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pellred.kernels
 import pellred.polyring
-from pellred.polyring import NEG_INF, NotIntegral, ONE, ParseError, Poly, X, ZERO, parse_poly
-from pellred.polyring import (
+from pellred.kernels import (
+    KRONECKER_DECIMAL_MIN_BITS,
+    KRONECKER_FLOOR,
     KRONECKER_MIN_LEN,
-    MAX_PARSE_DEGREE,
+    _DECIMAL_MAX_BITS,
+    _PRODUCT_BAND,
+    _SQUARE_BAND,
+    _decimal_digits,
+    _kernel,
+    _kronecker,
+    _kronecker_bits,
     _kronecker_decimal,
     _mul_kronecker,
     _mul_schoolbook,
     _square_schoolbook,
-    common_denominator,
-    decimal_str,
-    power,
+    squares_in_decimal,
 )
+from pellred.polyring import NEG_INF, NotIntegral, ONE, ParseError, Poly, X, ZERO, parse_poly
+from pellred.polyring import MAX_PARSE_DEGREE, common_denominator, decimal_str, dot, power
 
 
 def test_doctests():
@@ -339,7 +347,7 @@ def int_coeffs(length):
     )
 
 
-LENGTHS = [1, 3, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 2 * KRONECKER_MIN_LEN + 5]
+LENGTHS = [1, 3, KRONECKER_FLOOR - 1, KRONECKER_FLOOR, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 2 * KRONECKER_MIN_LEN + 5]
 any_length = st.sampled_from(LENGTHS).flatmap(int_coeffs)
 
 
@@ -391,8 +399,8 @@ def by_kernel(a, b, cutoff):
     """``_mul_kronecker(a, b)`` under decimal cut-off ``cutoff``, with the digit
     counts it passed to the decimal path (empty where it took the binary one)."""
     with (
-        mock.patch.object(pellred.polyring, "KRONECKER_DECIMAL_MIN_BITS", cutoff),
-        mock.patch.object(pellred.polyring, "_kronecker_decimal", wraps=_kronecker_decimal) as spy,
+        mock.patch.object(pellred.kernels, "KRONECKER_DECIMAL_MIN_BITS", cutoff),
+        mock.patch.object(pellred.kernels, "_kronecker_decimal", wraps=_kronecker_decimal) as spy,
     ):
         out = _mul_kronecker(a, b)
     return out, [call.args[2] for call in spy.call_args_list]
@@ -484,7 +492,7 @@ class TestDecimalKronecker:
         try:
             for k, path in ((1057, [640]), (1058, [])):
                 a = [(-1) ** i * ((1 << k) - 1 - i) for i in range(255)]
-                out, digits = by_kernel(a, a, pellred.polyring.KRONECKER_DECIMAL_MIN_BITS)
+                out, digits = by_kernel(a, a, pellred.kernels.KRONECKER_DECIMAL_MIN_BITS)
                 assert digits == path
                 assert out == _square_schoolbook(a)
         finally:
@@ -508,11 +516,225 @@ class TestDecimalKronecker:
     def test_poly_products_take_it(self):
         p = Poly(operand(random.Random(5), 300, 700, "random"))
         q = Poly(operand(random.Random(6), 301, 700, "negative")) / 3
-        with mock.patch.object(pellred.polyring, "_kronecker_decimal", wraps=_kronecker_decimal) as spy:
+        with mock.patch.object(pellred.kernels, "_kronecker_decimal", wraps=_kronecker_decimal) as spy:
             square, product = p * p, p * q
         assert spy.call_count == 2
         assert square.num == tuple(_square_schoolbook(p.num))
         assert product == Poly(_mul_schoolbook(p.num, q.num)) / 3
+
+
+def shaped(short, long, bits, seed=0):
+    """Operands of ``short`` and ``long`` coefficients whose Kronecker bit
+    bound is exactly ``bits``: the largest coefficient of each has the bit
+    length that makes it so, with mixed signs and a zero among the others."""
+    spare = bits - short.bit_length()
+    top_a, top_b = spare // 2, spare - spare // 2
+    rng = random.Random(seed)
+
+    def side(length, top):
+        cs = [rng.randrange(1 - (1 << top), 1 << top) for _ in range(length)]
+        cs[0], cs[-1] = 0, rng.choice((-1, 1)) * ((1 << top) - 1)
+        return cs if length > 1 else cs[-1:]
+
+    a, b = side(short, top_a), side(long, top_b)
+    assert _kronecker_bits((a,), (b,)) == bits
+    return a, b
+
+
+def kernel_of(a, b):
+    """``_kernel``'s answer for the product a*b."""
+    short, long = sorted((len(a), len(b)))
+    return _kernel(short, long, (a,), (b,))
+
+
+def band_boundaries(band, square):
+    """(short, long, bits, Kronecker expected) on both sides of every
+    boundary of one band: its bits, its least shorter length and its least
+    work, and the floor and KRONECKER_MIN_LEN."""
+    cases = []
+    low = 0
+    for top, least, work in band:
+        for bits in {low + 8, top}:
+            short = max(least, KRONECKER_FLOOR)
+            long = short if square else max(short, -(-work // short))
+            cases.append((short, long, bits, True))
+            cases.append((short - 1, short - 1 if square else long, bits, False))
+            if not square and short * (long - 1) < work and long - 1 >= short:
+                cases.append((short, long - 1, bits, False))
+        # Just past the row's bits, the next row asks a longer shorter side.
+        cases.append((short, long, top + 1, False))
+        low = top
+    last = band[-1][0]
+    cases.append((KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN - 1 if square else 60, last + 1, False))
+    cases.append((KRONECKER_MIN_LEN, KRONECKER_MIN_LEN if square else 60, last + 1, True))
+    cases.append((KRONECKER_FLOOR - 1, KRONECKER_FLOOR - 1 if square else 200, 40, False))
+    return cases
+
+
+class TestKernelChoice:
+    """The one kernel predicate: products on both sides of each boundary
+    against the schoolbook reference."""
+
+    @pytest.mark.parametrize("band", [_PRODUCT_BAND, _SQUARE_BAND])
+    def test_band_rows_ask_more(self, band):
+        # So the first row whose bits admit a product decides it.
+        for (top, least, work), (top2, least2, work2) in zip(band, band[1:]):
+            assert top < top2 and least < least2 and work <= work2
+        assert KRONECKER_FLOOR <= band[0][1] and band[-1][1] < KRONECKER_MIN_LEN
+
+    def test_below_the_floor_reads_no_coefficient(self):
+        # Sweep and high-index make thousands of products with a short operand.
+        assert _kernel(KRONECKER_FLOOR - 1, 10**6, None, None) == (0, 0)
+        with pytest.raises(TypeError):
+            _kernel(KRONECKER_FLOOR, 10**6, None, None)
+
+    @pytest.mark.parametrize("short, long, bits, kronecker", band_boundaries(_PRODUCT_BAND, False))
+    def test_product_band(self, short, long, bits, kronecker):
+        a, b = shaped(short, long, bits)
+        assert bool(kernel_of(a, b)[0]) is kronecker
+        assert kernel_of(b, a) == kernel_of(a, b)
+        want = Poly(_mul_schoolbook(a, b))
+        assert Poly(a) * Poly(b) == want and Poly(b) * Poly(a) == want
+
+    @pytest.mark.parametrize("n, _, bits, kronecker", band_boundaries(_SQUARE_BAND, True))
+    def test_square_band(self, n, _, bits, kronecker):
+        a, _ = shaped(n, n, bits)
+        assert bool(_kernel(n, n, (a,), (a,))[0]) is kronecker
+        p = Poly(a)
+        assert p.square() == Poly(_square_schoolbook(a)) == p * Poly(list(a))
+
+    def test_sums_count_the_work_of_every_pair(self):
+        # One 10 x 12 product is below the first band row's work; three are not.
+        top, least, work = _PRODUCT_BAND[0]
+        a, b = shaped(least, 12, 60)
+        assert least * 12 < work <= 3 * least * 12
+        assert kernel_of(a, b) == (0, 0)
+        assert _kernel(least, 12, [a] * 3, [b] * 3)[0]
+
+    def test_squares_in_decimal_is_the_balanced_rule(self):
+        # For a square the decimal rule is the earlier one: the operand packs
+        # to KRONECKER_DECIMAL_MIN_BITS and its digits fit in 640.
+        for n in (KRONECKER_FLOOR, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 100, 255, 577):
+            for bits in range(40, 2300, 37):
+                j = least_digits(bits)
+                earlier = n >= KRONECKER_MIN_LEN and n * bits >= KRONECKER_DECIMAL_MIN_BITS and j <= 640
+                cs = [1] * n
+                with mock.patch.object(pellred.kernels, "_kronecker_bits", return_value=bits):
+                    assert squares_in_decimal(cs) is earlier, (n, bits)
+
+    @pytest.mark.parametrize("cutoff", [KRONECKER_DECIMAL_MIN_BITS, 0, 20_000])
+    def test_squares_in_decimal_asks_the_kernel(self, cutoff):
+        # Its length test only skips squares that cannot reach the cut-off.
+        assert max(b for b in range(1, 3000) if _decimal_digits(10**6, 10**6, b)) == _DECIMAL_MAX_BITS
+        with mock.patch.object(pellred.kernels, "KRONECKER_DECIMAL_MIN_BITS", cutoff):
+            for n in (KRONECKER_FLOOR, 16, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 94, 95, 100):
+                for top in (1, 300, 1060, 1061, 1100):
+                    cs = [(1 << top) - 1] * n
+                    assert squares_in_decimal(cs) is (_kernel(n, n, (cs,), (cs,))[1] > 0), (n, top)
+
+    # (short, long, bits, decimal): each decimal condition just met and just
+    # missed.  2*short*bits and (short + long)*bits against the cut-off.
+    LOPSIDED = [
+        (100, 300, 1000, True),  # 2*100*1000 = 200 000, 400 * 1000 = 400 000
+        (99, 310, 1000, False),  # shorter side below half the cut-off
+        (100, 299, 1000, False),  # the sum of lengths one short
+        (150, 150, 1334, True),  # a balanced shape: 150 * 1334 >= 200 000
+        (150, 150, 1333, False),
+        (40, 400, 2119, False),  # short * bits below half
+        (48, 400, 2117, True),  # j = 639
+        (48, 400, 2124, False),  # j = 641
+    ]
+
+    @pytest.mark.parametrize("short, long, bits, decimal", LOPSIDED)
+    def test_lopsided_decimal(self, short, long, bits, decimal):
+        a, b = shaped(short, long, bits, seed=short + long)
+        bits_, j = kernel_of(a, b)
+        assert bits_ == bits and bool(j) is decimal
+        want = Poly(_mul_schoolbook(a, b))
+        with mock.patch.object(pellred.kernels, "_kronecker_decimal", wraps=_kronecker_decimal) as spy:
+            assert Poly(a) * Poly(b) == want
+        assert spy.call_count == decimal
+
+
+def reference_dot(xs, ys) -> Poly:
+    """The sum of the products, each by schoolbook over int/Fraction coefficients."""
+    total = ZERO
+    for x, y in zip(xs, ys):
+        if x and y:
+            total = total + Poly(_mul_schoolbook(x.coeffs, y.coeffs))
+    return total
+
+
+# Lengths on both sides of the floor and of KRONECKER_MIN_LEN, zero included.
+DOT_LENGTHS = [0, 1, 3, KRONECKER_FLOOR - 1, KRONECKER_FLOOR, 16, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 40]
+dot_coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
+dot_fraction = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+
+
+@st.composite
+def dot_operands(draw):
+    """Two equal-length lists of 1 to 5 Polys, as in a matrix product of
+    m = 2..5, of mixed lengths, integer or with some Fraction entries, some
+    of them zero."""
+    pairs = draw(st.sampled_from([1, 2, 3, 4, 5]))
+    rational = draw(st.booleans())
+
+    def entry():
+        n = draw(st.sampled_from(DOT_LENGTHS))
+        coeff = st.one_of(dot_coeff, dot_fraction) if rational else dot_coeff
+        return Poly(draw(st.lists(coeff, min_size=n, max_size=n)))
+
+    xs = [entry() for _ in range(pairs)]
+    ys = [entry() for _ in range(pairs)]
+    if draw(st.booleans()):  # a square pair, as in a matrix power's diagonal
+        ys[0] = xs[0]
+    return xs, ys
+
+
+class TestDot:
+    @settings(max_examples=80, deadline=None)
+    @given(dot_operands())
+    def test_matches_the_sum_of_products(self, operands):
+        xs, ys = operands
+        got = dot(xs, ys)
+        assert got == reference_dot(xs, ys) == sum((x * y for x, y in zip(xs, ys)), ZERO)
+        assert got.num == () or got.num[-1] != 0  # canonical
+
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    @pytest.mark.parametrize("length", [KRONECKER_FLOOR - 1, KRONECKER_MIN_LEN])
+    def test_both_kernels_on_cancelling_sums(self, extra, length):
+        # x*y - x*y summed with ``extra`` short pairs: the top coefficients
+        # cancel, so the unpacked sum has trailing zeros to strip.
+        rng = random.Random(extra * 100 + length)
+        x = Poly([rng.randrange(-(2**90), 2**90) for _ in range(length - 1)] + [3])
+        y = Poly([rng.randrange(-(2**90), 2**90) for _ in range(length - 1)] + [-5])
+        small = [Poly([rng.randrange(-9, 10) for _ in range(3)]) for _ in range(extra)]
+        xs, ys = [x, -x] + small, [y, y] + small[::-1]
+        with mock.patch.object(pellred.polyring, "_kronecker", wraps=_kronecker) as spy:
+            got = dot(xs, ys)
+        assert spy.called is (length >= KRONECKER_MIN_LEN)
+        assert got == reference_dot(xs, ys)
+        assert got.degree < x.degree + y.degree
+
+    def test_decimal_kernel_sums(self):
+        # Pairs packing past the decimal cut-off: one decimal sum, equal to
+        # the binary sum and to schoolbook.
+        rng = random.Random(11)
+        xs = [Poly([rng.randrange(-(2**700), 2**700) for _ in range(300)]) for _ in range(2)]
+        ys = [Poly([rng.randrange(-(2**700), 2**700) for _ in range(301)]), xs[1]]
+        with mock.patch.object(pellred.kernels, "_kronecker_decimal", wraps=_kronecker_decimal) as spy:
+            got = dot(xs, ys)
+        assert spy.call_count == 1
+        nums_x, nums_y = [x.num for x in xs], [y.num for y in ys]
+        bits = _kronecker_bits(nums_x, nums_y)
+        assert Poly(_kronecker(nums_x, nums_y, bits, 0)) == got == reference_dot(xs, ys)
+
+    def test_zero_and_empty(self):
+        p = Poly("x^2+1")
+        assert dot([], []) == ZERO
+        assert dot([ZERO, p], [p, ZERO]) == ZERO
+        assert dot([p, ZERO], [p, p]) == p * p
+        assert dot([p], [Poly(Fraction(1, 2))]) == p / 2
 
 
 class TestIntegerDivision:

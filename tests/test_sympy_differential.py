@@ -14,7 +14,8 @@ sympy = pytest.importorskip("sympy")
 
 from pellred.pellm import PellMSolution, solve_m, verify_m  # noqa: E402
 from pellred.polymat import PolyMatrix, build_circulant  # noqa: E402
-from pellred.polyring import KRONECKER_MIN_LEN, Poly  # noqa: E402
+from pellred.kernels import KRONECKER_FLOOR, KRONECKER_MIN_LEN  # noqa: E402
+from pellred.polyring import Poly  # noqa: E402
 
 x, t = sympy.symbols("x t")
 
@@ -42,7 +43,7 @@ def exact_length(coeff, length):
 
 
 K = KRONECKER_MIN_LEN
-lengths = st.sampled_from([1, 2, K - 1, K, K + 1, 3 * K])
+lengths = st.sampled_from([1, 2, KRONECKER_FLOOR - 1, KRONECKER_FLOOR, 16, K - 1, K, K + 1, 3 * K])
 int_polys = lengths.flatmap(lambda n: exact_length(st.one_of(small, wide), n))
 frac_polys = st.integers(1, K + 2).flatmap(lambda n: exact_length(st.one_of(small, fraction), n))
 mixed_polys = st.one_of(int_polys, frac_polys)

@@ -15,9 +15,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from pellred import polyring
+from pellred import kernels
+from pellred.kernels import KRONECKER_DECIMAL_MIN_BITS, kronecker_pack
 from pellred.pell2 import PellProblem, solve, verify
-from pellred.polyring import KRONECKER_DECIMAL_MIN_BITS, ONE, Poly, X, ZERO, common_denominator, kronecker_pack
+from pellred.polyring import ONE, Poly, X, ZERO, common_denominator
 
 
 def reference(P, Q, D) -> bool:
@@ -29,12 +30,12 @@ def reference(P, Q, D) -> bool:
 @contextmanager
 def cutoff(value):
     """Run ``verify``, and ``Poly`` products, with another binary/decimal cut-off."""
-    saved = polyring.KRONECKER_DECIMAL_MIN_BITS
-    polyring.KRONECKER_DECIMAL_MIN_BITS = value
+    saved = kernels.KRONECKER_DECIMAL_MIN_BITS
+    kernels.KRONECKER_DECIMAL_MIN_BITS = value
     try:
         yield
     finally:
-        polyring.KRONECKER_DECIMAL_MIN_BITS = saved
+        kernels.KRONECKER_DECIMAL_MIN_BITS = saved
 
 
 # The default, always the point test, and the polynomial check for every L*P
@@ -105,10 +106,10 @@ def kernels_taken(P, Q, D, monkeypatch) -> tuple[int, int]:
     ``verify(P, Q, D)`` made: none on the point test; on the polynomial check
     two squares (L*P and L*Q), of which those past the cut-off are decimal."""
     squares, decimal = [], []
-    square, kronecker_decimal = Poly.square, polyring._kronecker_decimal
+    square, kronecker_decimal = Poly.square, kernels._kronecker_decimal
     with monkeypatch.context() as patch:
         patch.setattr(Poly, "square", lambda p: squares.append(p) or square(p))
-        patch.setattr(polyring, "_kronecker_decimal", lambda *args: decimal.append(args) or kronecker_decimal(*args))
+        patch.setattr(kernels, "_kronecker_decimal", lambda *args: decimal.append(args) or kronecker_decimal(*args))
         assert verify(P, Q, D)
     return len(squares), len(decimal)
 
