@@ -30,18 +30,20 @@ KRONECKER_FLOOR = 10
 #: (8 to 1024 bits; crossover grids in CHANGES.md).
 KRONECKER_MIN_LEN = 32
 
-#: Between ``KRONECKER_FLOOR`` and ``KRONECKER_MIN_LEN``, rows of (largest
-#: bit bound, least shorter length, least schoolbook work), each row asking
-#: at least what the one before asks, so a sum that misses the first row's
-#: lengths is decided before its coefficients are scanned.  A sum of
-#: products takes Kronecker substitution when the first row whose bits admit
-#: its bit bound (``_kronecker_bits``) admits its shorter length and its
-#: work, the sum over its pairs of the two lengths' product; past the last
-#: row it stays schoolbook.  A square does half the schoolbook products, so
-#: it has its own rows.  Fitted on grids of schoolbook over binary Kronecker
-#: time for one product, for sums of three, and for squares (CHANGES.md).
-_PRODUCT_BAND = ((300, 10, 240), (600, 20, 400), (1100, 24, 576))
-_SQUARE_BAND = ((150, 16, 0), (300, 24, 0), (450, 28, 0))
+#: Between ``KRONECKER_FLOOR`` and ``KRONECKER_MIN_LEN`` one rule: a sum of
+#: products takes Kronecker substitution when its schoolbook work, the sum
+#: over its pairs of the two lengths' product, is at least ``_BAND_MIN_WORK``
+#: and its bit bound (``_kronecker_bits``) at most ``_BAND_MAX_BITS``; a
+#: square when its length is at least ``_BAND_MIN_SQUARE`` and its bit bound
+#: at most ``_BAND_MAX_BITS``.  The lengths are tested before any coefficient
+#: is scanned.  Fitted on grids of schoolbook over binary Kronecker time and
+#: checked on every product and sum the benchmark's four workloads make in
+#: this band (seed 1: bit bounds of 17 to 235); CHANGES.md has both.  Wider
+#: coefficients stay schoolbook in the band, where the grids measured them
+#: no faster in Kronecker.
+_BAND_MIN_WORK = 256
+_BAND_MIN_SQUARE = 18
+_BAND_MAX_BITS = 256
 
 #: Smallest packed size, in bits, from which a Kronecker product is taken in
 #: decimal: the shorter operand's length times ``_kronecker_bits`` must reach
@@ -82,17 +84,15 @@ def _kernel(short: int, long: int, xs, ys) -> tuple[int, int]:
     if short >= KRONECKER_MIN_LEN:
         bits = _kronecker_bits(xs, ys)
         return bits, _decimal_digits(short, long, bits)
-    band = _SQUARE_BAND if len(xs) == 1 and xs[0] is ys[0] else _PRODUCT_BAND
-    work = sum(map(mul, map(len, xs), map(len, ys)))
-    if short < band[0][1] or work < band[0][2]:  # no row admits it: no scan
+    if len(xs) == 1 and xs[0] is ys[0]:
+        if short < _BAND_MIN_SQUARE:
+            return _SCHOOLBOOK
+    elif sum(map(mul, map(len, xs), map(len, ys))) < _BAND_MIN_WORK:
         return _SCHOOLBOOK
     bits = _kronecker_bits(xs, ys)
-    for top, least, least_work in band:
-        if bits <= top:
-            if short < least or work < least_work:
-                return _SCHOOLBOOK
-            return bits, _decimal_digits(short, long, bits)
-    return _SCHOOLBOOK
+    # A band product's shorter operand packs to under 32 * _BAND_MAX_BITS
+    # bits, far below half the decimal cut-off, so it is binary.
+    return (bits, 0) if bits <= _BAND_MAX_BITS else _SCHOOLBOOK
 
 
 def _kronecker_bits(xs, ys) -> int:
@@ -171,14 +171,6 @@ def kronecker_pack(cs, w: int) -> int:
     digits = b"".join((c + half).to_bytes(w, "little") for c in cs)
     offsets = half.to_bytes(w, "little") * len(cs)
     return int.from_bytes(digits, "little") - int.from_bytes(offsets, "little")
-
-
-def _mul_kronecker(a, b) -> list:
-    """a*b by Kronecker substitution at any lengths, at the radix ``_kernel``
-    would take."""
-    xs, ys = (a,), (b,)
-    bits = _kronecker_bits(xs, ys)
-    return _kronecker(xs, ys, bits, _decimal_digits(min(len(a), len(b)), max(len(a), len(b)), bits))
 
 
 def _kronecker(xs, ys, bits: int, j: int) -> list:

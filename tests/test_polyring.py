@@ -18,15 +18,15 @@ from pellred.kernels import (
     KRONECKER_DECIMAL_MIN_BITS,
     KRONECKER_FLOOR,
     KRONECKER_MIN_LEN,
+    _BAND_MAX_BITS,
+    _BAND_MIN_SQUARE,
+    _BAND_MIN_WORK,
     _DECIMAL_MAX_BITS,
-    _PRODUCT_BAND,
-    _SQUARE_BAND,
     _decimal_digits,
     _kernel,
     _kronecker,
     _kronecker_bits,
     _kronecker_decimal,
-    _mul_kronecker,
     _mul_schoolbook,
     _square_schoolbook,
     squares_in_decimal,
@@ -351,18 +351,25 @@ LENGTHS = [1, 3, KRONECKER_FLOOR - 1, KRONECKER_FLOOR, KRONECKER_MIN_LEN - 1, KR
 any_length = st.sampled_from(LENGTHS).flatmap(int_coeffs)
 
 
+def kronecker_product(a, b) -> list:
+    """a*b by Kronecker substitution at any lengths, at the radix ``_kernel``
+    takes from ``KRONECKER_MIN_LEN`` coefficients on (a square when b is a)."""
+    bits = _kronecker_bits((a,), (b,))
+    return _kronecker((a,), (b,), bits, _decimal_digits(min(len(a), len(b)), max(len(a), len(b)), bits))
+
+
 class TestKronecker:
     """The Kronecker kernel against the schoolbook loops it stands in for."""
 
     @settings(max_examples=60, deadline=None)
     @given(any_length, any_length)
     def test_mul_matches_schoolbook(self, a, b):
-        assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
+        assert kronecker_product(a, b) == _mul_schoolbook(a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(any_length)
     def test_square_matches_schoolbook(self, a):
-        assert _mul_kronecker(a, a) == _square_schoolbook(a)
+        assert kronecker_product(a, a) == _square_schoolbook(a)
 
     def test_extreme_coefficients(self):
         # All coefficients at +-2^k make every product coefficient reach the
@@ -371,8 +378,8 @@ class TestKronecker:
             for sign in (1, -1):
                 a = [sign * 2**k] * KRONECKER_MIN_LEN
                 b = [-(2**k)] * (KRONECKER_MIN_LEN + 3)
-                assert _mul_kronecker(a, b) == _mul_schoolbook(a, b)
-                assert _mul_kronecker(a, a) == _square_schoolbook(a)
+                assert kronecker_product(a, b) == _mul_schoolbook(a, b)
+                assert kronecker_product(a, a) == _square_schoolbook(a)
 
     def test_fraction_operands_match_schoolbook(self):
         # Rational operands go through the kernel on their integer numerators.
@@ -386,7 +393,7 @@ class TestKronecker:
 
 
 def product_bits(a, b) -> int:
-    """The bound of ``_mul_kronecker``: every product coefficient is below 2^bits."""
+    """The bound of ``kronecker_product``: every product coefficient is below 2^bits."""
     return max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + min(len(a), len(b)).bit_length()
 
 
@@ -396,13 +403,13 @@ def least_digits(bits) -> int:
 
 
 def by_kernel(a, b, cutoff):
-    """``_mul_kronecker(a, b)`` under decimal cut-off ``cutoff``, with the digit
+    """``kronecker_product(a, b)`` under decimal cut-off ``cutoff``, with the digit
     counts it passed to the decimal path (empty where it took the binary one)."""
     with (
         mock.patch.object(pellred.kernels, "KRONECKER_DECIMAL_MIN_BITS", cutoff),
         mock.patch.object(pellred.kernels, "_kronecker_decimal", wraps=_kronecker_decimal) as spy,
     ):
-        out = _mul_kronecker(a, b)
+        out = kronecker_product(a, b)
     return out, [call.args[2] for call in spy.call_args_list]
 
 
@@ -455,7 +462,7 @@ class TestDecimalKronecker:
         in_binary, none = by_kernel(a, b, float("inf"))
         assert digits == ([j] if j <= 640 else []) and not none
         assert in_decimal == in_binary == want
-        assert _mul_kronecker(a, b) == want  # the cut-off the module ships with
+        assert kronecker_product(a, b) == want  # the cut-off the module ships with
 
     def test_digit_count_is_the_least(self):
         # Each bits from 3 up takes the decimal path while its least j is at
@@ -547,26 +554,24 @@ def kernel_of(a, b):
     return _kernel(short, long, (a,), (b,))
 
 
-def band_boundaries(band, square):
+def band_boundaries(square):
     """(short, long, bits, Kronecker expected) on both sides of every
-    boundary of one band: its bits, its least shorter length and its least
-    work, and the floor and KRONECKER_MIN_LEN."""
+    boundary of the band rule: the least work (products) or length
+    (squares), the largest bit bound, the floor and KRONECKER_MIN_LEN."""
     cases = []
-    low = 0
-    for top, least, work in band:
-        for bits in {low + 8, top}:
-            short = max(least, KRONECKER_FLOOR)
-            long = short if square else max(short, -(-work // short))
+    shorts = (_BAND_MIN_SQUARE,) if square else (KRONECKER_FLOOR, 16)
+    for short in shorts + (KRONECKER_MIN_LEN - 1,):
+        long = short if square else max(short, -(-_BAND_MIN_WORK // short))
+        for bits in (24, _BAND_MAX_BITS):
             cases.append((short, long, bits, True))
-            cases.append((short - 1, short - 1 if square else long, bits, False))
-            if not square and short * (long - 1) < work and long - 1 >= short:
-                cases.append((short, long - 1, bits, False))
-        # Just past the row's bits, the next row asks a longer shorter side.
-        cases.append((short, long, top + 1, False))
-        low = top
-    last = band[-1][0]
-    cases.append((KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN - 1 if square else 60, last + 1, False))
-    cases.append((KRONECKER_MIN_LEN, KRONECKER_MIN_LEN if square else 60, last + 1, True))
+        cases.append((short, long, _BAND_MAX_BITS + 1, False))
+        if not square and long - 1 >= short and short * (long - 1) < _BAND_MIN_WORK:
+            cases.append((short, long - 1, 24, False))
+    if square:
+        cases.append((_BAND_MIN_SQUARE - 1, _BAND_MIN_SQUARE - 1, 24, False))
+    else:  # the shorter side one less, the work just under
+        cases.append((15, 17, 24, False))
+    cases.append((KRONECKER_MIN_LEN, KRONECKER_MIN_LEN if square else 60, _BAND_MAX_BITS + 1, True))
     cases.append((KRONECKER_FLOOR - 1, KRONECKER_FLOOR - 1 if square else 200, 40, False))
     return cases
 
@@ -575,12 +580,12 @@ class TestKernelChoice:
     """The one kernel predicate: products on both sides of each boundary
     against the schoolbook reference."""
 
-    @pytest.mark.parametrize("band", [_PRODUCT_BAND, _SQUARE_BAND])
-    def test_band_rows_ask_more(self, band):
-        # So the first row whose bits admit a product decides it.
-        for (top, least, work), (top2, least2, work2) in zip(band, band[1:]):
-            assert top < top2 and least < least2 and work <= work2
-        assert KRONECKER_FLOOR <= band[0][1] and band[-1][1] < KRONECKER_MIN_LEN
+    def test_band_constants(self):
+        # The band's thresholds lie inside it, and a band product is too
+        # small for the decimal kernel, which _kernel takes for granted.
+        assert KRONECKER_FLOOR**2 < _BAND_MIN_WORK <= (KRONECKER_MIN_LEN - 1) ** 2
+        assert KRONECKER_FLOOR <= _BAND_MIN_SQUARE < KRONECKER_MIN_LEN
+        assert _decimal_digits(KRONECKER_MIN_LEN - 1, 10**9, _BAND_MAX_BITS) == 0
 
     def test_below_the_floor_reads_no_coefficient(self):
         # Sweep and high-index make thousands of products with a short operand.
@@ -588,7 +593,7 @@ class TestKernelChoice:
         with pytest.raises(TypeError):
             _kernel(KRONECKER_FLOOR, 10**6, None, None)
 
-    @pytest.mark.parametrize("short, long, bits, kronecker", band_boundaries(_PRODUCT_BAND, False))
+    @pytest.mark.parametrize("short, long, bits, kronecker", band_boundaries(False))
     def test_product_band(self, short, long, bits, kronecker):
         a, b = shaped(short, long, bits)
         assert bool(kernel_of(a, b)[0]) is kronecker
@@ -596,7 +601,7 @@ class TestKernelChoice:
         want = Poly(_mul_schoolbook(a, b))
         assert Poly(a) * Poly(b) == want and Poly(b) * Poly(a) == want
 
-    @pytest.mark.parametrize("n, _, bits, kronecker", band_boundaries(_SQUARE_BAND, True))
+    @pytest.mark.parametrize("n, _, bits, kronecker", band_boundaries(True))
     def test_square_band(self, n, _, bits, kronecker):
         a, _ = shaped(n, n, bits)
         assert bool(_kernel(n, n, (a,), (a,))[0]) is kronecker
@@ -604,12 +609,11 @@ class TestKernelChoice:
         assert p.square() == Poly(_square_schoolbook(a)) == p * Poly(list(a))
 
     def test_sums_count_the_work_of_every_pair(self):
-        # One 10 x 12 product is below the first band row's work; three are not.
-        top, least, work = _PRODUCT_BAND[0]
-        a, b = shaped(least, 12, 60)
-        assert least * 12 < work <= 3 * least * 12
+        # One 10 x 12 product is below the band's least work; three are not.
+        a, b = shaped(KRONECKER_FLOOR, 12, 60)
+        assert KRONECKER_FLOOR * 12 < _BAND_MIN_WORK <= 3 * KRONECKER_FLOOR * 12
         assert kernel_of(a, b) == (0, 0)
-        assert _kernel(least, 12, [a] * 3, [b] * 3)[0]
+        assert _kernel(KRONECKER_FLOOR, 12, [a] * 3, [b] * 3)[0]
 
     def test_squares_in_decimal_is_the_balanced_rule(self):
         # For a square the decimal rule is the earlier one: the operand packs

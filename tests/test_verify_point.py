@@ -115,7 +115,7 @@ def kernels_taken(P, Q, D, monkeypatch) -> tuple[int, int]:
 
 
 def square_packed(p: Poly) -> int:
-    """The size in bits that ``_mul_kronecker`` packs the square of the
+    """The size in bits that the Kronecker kernel packs the square of the
     integer polynomial p to: its length times the bound on the square's
     coefficients (twice the largest coefficient's bits, plus the length's)."""
     cs = p.coeffs
