@@ -67,43 +67,57 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 _SCHOOLBOOK = (0, 0)
 
 
-def _kernel(short: int, long: int, xs, ys) -> tuple[int, int]:
+def _kernel(short: int, long: int, xs, ys, tops=None) -> tuple[int, int]:
     """The kernel for the sum of x*y over the pairs of integer coefficient
     sequences ``xs`` and ``ys``, whose largest shorter and longer operand
     lengths are ``short`` and ``long``: ``(0, 0)`` for schoolbook, else
     ``(bits, j)`` for Kronecker substitution with bit bound ``bits`` at radix
     10^j, or in binary where j is 0.  A sum of several pairs weighs the
-    schoolbook work of all of them, as it unpacks only once.
+    schoolbook work of all of them, as it unpacks only once.  ``tops`` is
+    ``_kronecker_bits``'s scan memo.
 
-    This is the package's one kernel rule: ``Poly.__mul__``, ``dot`` and
+    This is the package's one kernel rule: ``Poly.__mul__``, ``dots`` and
     ``squares_in_decimal`` (so ``pell2.verify``'s route) all ask it.  Below
     ``KRONECKER_FLOOR`` it reads the lengths only.
     """
     if short < KRONECKER_FLOOR:
         return _SCHOOLBOOK
     if short >= KRONECKER_MIN_LEN:
-        bits = _kronecker_bits(xs, ys)
+        bits = _kronecker_bits(xs, ys, tops)
         return bits, _decimal_digits(short, long, bits)
     if len(xs) == 1 and xs[0] is ys[0]:
         if short < _BAND_MIN_SQUARE:
             return _SCHOOLBOOK
     elif sum(map(mul, map(len, xs), map(len, ys))) < _BAND_MIN_WORK:
         return _SCHOOLBOOK
-    bits = _kronecker_bits(xs, ys)
+    bits = _kronecker_bits(xs, ys, tops)
     # A band product's shorter operand packs to under 32 * _BAND_MAX_BITS
     # bits, far below half the decimal cut-off, so it is binary.
     return (bits, 0) if bits <= _BAND_MAX_BITS else _SCHOOLBOOK
 
 
-def _kronecker_bits(xs, ys) -> int:
+def _kronecker_bits(xs, ys, tops=None) -> int:
     """A bit bound on every coefficient of the sum of x*y over the pairs of
     xs and ys: the largest sum, over the pairs, of the bit lengths of the
     largest coefficient of x and of y, plus the bit length of the sum of the
-    pairs' shorter lengths.  A square (y is x) scans its operand once."""
+    pairs' shorter lengths.
+
+    Each operand is scanned once: a square's (y is x) within the sum, and
+    any operand within a batch of sums that share the dict ``tops``, which
+    maps ``id`` of an operand to its largest coefficient's bit length.  Its
+    operands must stay alive while ``tops`` is in use.
+    """
+    if tops is None:
+        tops = {}
     top = count = 0
     for x, y in zip(xs, ys):
-        top_x = max(map(abs, x)).bit_length()
-        top = max(top, top_x + (top_x if y is x else max(map(abs, y)).bit_length()))
+        top_x = tops.get(id(x))
+        if top_x is None:
+            top_x = tops[id(x)] = max(map(abs, x)).bit_length()
+        top_y = tops.get(id(y))
+        if top_y is None:
+            top_y = tops[id(y)] = max(map(abs, y)).bit_length()
+        top = max(top, top_x + top_y)
         count += min(len(x), len(y))
     return top + count.bit_length()
 
@@ -173,7 +187,7 @@ def kronecker_pack(cs, w: int) -> int:
     return int.from_bytes(digits, "little") - int.from_bytes(offsets, "little")
 
 
-def _kronecker(xs, ys, bits: int, j: int) -> list:
+def _kronecker(xs, ys, bits: int, j: int, packs=None) -> list:
     """The sum of x*y over the pairs of integer coefficient sequences xs and
     ys by Kronecker substitution, trailing zeros included.
 
@@ -201,15 +215,27 @@ def _kronecker(xs, ys, bits: int, j: int) -> list:
     and the offset is subtracted again as one number.  As every coefficient
     of the sum lies strictly inside that half range, the same offset also
     unpacks it.
+
+    Each binary operand is packed once: a square's within the sum, and any
+    operand within a batch of sums at one ``bits`` that share the dict
+    ``packs``, which maps ``id`` of an operand to its packed value.  Its
+    operands must stay alive while ``packs`` is in use.
     """
     size = max(len(x) + len(y) for x, y in zip(xs, ys)) - 1
     if j:
         return _kronecker_decimal(xs, ys, j, size)
     w = bits // 8 + 1
+    if packs is None:
+        packs = {}
     total = 0
     for x, y in zip(xs, ys):
-        vx = kronecker_pack(x, w)
-        total += vx * (vx if y is x else kronecker_pack(y, w))
+        vx = packs.get(id(x))
+        if vx is None:
+            vx = packs[id(x)] = kronecker_pack(x, w)
+        vy = packs.get(id(y))
+        if vy is None:
+            vy = packs[id(y)] = kronecker_pack(y, w)
+        total += vx * vy
     half = 1 << (8 * w - 1)
     total += int.from_bytes(half.to_bytes(w, "little") * size, "little")
     digits = total.to_bytes(w * size, "little")

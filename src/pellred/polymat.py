@@ -3,16 +3,19 @@
 Products, binary-exponentiation powers, exact determinants (fraction-free
 Bareiss with a cofactor fallback for tiny sizes), characteristic polynomials,
 and the twisted-circulant builder used by the degree-m Pell equation.  Every
-sum of products here is one ``polyring.dot``, which takes one kernel for the
-whole sum: a product's entries, Berkowitz's dots and Toeplitz sums, a
-cofactor expansion and Bareiss's cross term.
+sum of products here goes through ``polyring.dots``, which takes one kernel
+for each whole sum, and every matrix operation makes one batch of its sums,
+so that operands they share are scanned and packed once: all entries of a
+product, all cross terms of a Bareiss step, a Berkowitz stage's dots and its
+Toeplitz sums.  A cofactor expansion and each Berkowitz border term are one
+``polyring.dot``.
 """
 
 from __future__ import annotations
 
 from operator import matmul
 
-from .polyring import DomainError, ONE, Poly, ZERO, dot, power
+from .polyring import DomainError, ONE, Poly, ZERO, dot, dots, power
 
 
 class DimensionMismatch(DomainError):
@@ -61,8 +64,9 @@ class PolyMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise DimensionMismatch(f"cannot multiply {self.dim}x{self.dim} by {other.dim}x{other.dim}")
-        cols = list(zip(*other.rows))
-        return PolyMatrix([[dot(row, col) for col in cols] for row in self.rows])
+        n, cols = self.dim, list(zip(*other.rows))
+        entries = dots([(row, col) for row in self.rows for col in cols])
+        return PolyMatrix([entries[i : i + n] for i in range(0, n * n, n)])
 
     def pow(self, n: int) -> PolyMatrix:
         """n-th power by binary exponentiation; the 0th power is the identity."""
@@ -95,12 +99,13 @@ class PolyMatrix:
                         break
                 else:
                     return ZERO
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                # m[k][k]*m[i][j] - m[i][k]*m[k][j] as one sum of products
-                scales = (pivot, -m[i][k])
-                for j in range(k + 1, n):
-                    m[i][j] = dot(scales, (m[i][j], m[k][j])).div_exact(prev)
+            pivot, rest = m[k][k], range(k + 1, n)
+            # m[k][k]*m[i][j] - m[i][k]*m[k][j] as one sum of products, all of
+            # the step's in one batch, the negation taken once per row
+            scales = {i: (pivot, -m[i][k]) for i in rest}
+            cross = iter(dots([(scales[i], (m[i][j], m[k][j])) for i in rest for j in rest]))
+            for i in rest:
+                m[i][k + 1 :] = [next(cross).div_exact(prev) for _ in rest]
             prev = pivot
         result = m[n - 1][n - 1]
         return result if sign == 1 else -result
@@ -122,10 +127,10 @@ class PolyMatrix:
             toeplitz = [ONE, -rows[k][k]]
             for j in range(k):
                 if j:
-                    vec = [dot(rows[i][:k], vec) for i in range(k)]
+                    vec = dots([(rows[i][:k], vec) for i in range(k)])
                 toeplitz.append(-dot(row, vec))
             # Entry i is the sum of toeplitz[i - j] * coeffs[j] over j <= i.
-            coeffs = [dot(toeplitz[i::-1], coeffs) for i in range(k + 2)]
+            coeffs = dots([(toeplitz[i::-1], coeffs) for i in range(k + 2)])
         return tuple(reversed(coeffs))
 
     # -- JSON form -------------------------------------------------------------

@@ -13,8 +13,9 @@ canonical polynomial.
 Products run on the integer numerators through the kernels of
 ``pellred.kernels``: schoolbook, or Kronecker substitution at a binary or a
 decimal radix, picked by one predicate.  ``Poly.__mul__`` asks it for one
-product, and ``dot`` for a whole sum of products, which it then packs,
-multiplies and unpacks once.
+product, and ``dots`` for each sum of products in a batch; a Kronecker sum is
+packed, multiplied and unpacked once, and a batch scans and packs each
+operand it shares between sums once.
 """
 
 from __future__ import annotations
@@ -496,34 +497,65 @@ def common_denominator(*polys: Poly) -> int:
 
 
 def dot(xs, ys) -> Poly:
-    """The exact sum of x*y over the pairs ``zip(xs, ys)`` of Polys.
-
-    Pairs with a zero side are skipped.  Over integer Polys the whole sum
-    takes one kernel, which ``kernels._kernel`` picks from the longest
-    shorter and longer operands and the work of all pairs: every pair packed
-    at one Kronecker radix, the int products summed and the sum unpacked
-    once; or schoolbook products accumulated into one int list.  A sum with a
-    rational operand, or of one pair, is the plain sum of the products.
+    """The exact sum of x*y over the pairs ``zip(xs, ys)`` of Polys: ``dots``
+    of the one sum.
 
     >>> dot([Poly("x+1"), Poly(2)], [Poly("x-1"), X])
     Poly('x^2+2x-1')
     """
-    pairs = [(x, y) for x, y in zip(xs, ys) if x.num and y.num]
-    if len(pairs) < 2 or any(x.den != 1 or y.den != 1 for x, y in pairs):
-        return sum((x * y for x, y in pairs), ZERO)
-    xs, ys = [x.num for x, _ in pairs], [y.num for _, y in pairs]
-    short = max(min(len(a), len(b)) for a, b in zip(xs, ys))
-    long = max(max(len(a), len(b)) for a, b in zip(xs, ys))
-    bits, j = _kernel(short, long, xs, ys)
-    if bits:
-        return _reduce(_kronecker(xs, ys, bits, j), 1)
-    out = [0] * max(len(a) + len(b) - 1 for a, b in zip(xs, ys))
-    for a, b in zip(xs, ys):
-        if a is b:
-            _square_schoolbook(a, out)
+    return dots([(xs, ys)])[0]
+
+
+def dots(sums) -> list:
+    """The exact sum of x*y over the pairs ``zip(xs, ys)`` of Polys, for each
+    ``(xs, ys)`` in ``sums``, as a list.
+
+    Pairs with a zero side are skipped; one pair is its product, and a sum
+    with a rational operand the plain sum of its products.  Each integer sum
+    takes the kernel ``kernels._kernel`` picks for it alone: Kronecker (every
+    pair packed at one radix, the int products summed, the sum unpacked
+    once) or schoolbook products accumulated into one int list.  A batch
+    scans each operand for its bit size once, and its binary Kronecker sums
+    share the widest radix, at which each operand is packed once.
+
+    >>> dots([([X], [X]), ([X, ONE], [X, Poly(-1)])])
+    [Poly('x^2'), Poly('x^2-1')]
+    """
+    # Built whole first: the kernels' scan and pack memos are keyed by id, so
+    # every operand must stay alive until the last sum is packed.
+    batch = [[(x, y) for x, y in zip(xs, ys) if x.num and y.num] for xs, ys in sums]
+    out = []
+    tops, binary = {}, []
+    for pairs in batch:
+        if len(pairs) == 1:
+            x, y = pairs[0]
+            out.append(x * y)
+            continue
+        if not pairs or any(x.den != 1 or y.den != 1 for x, y in pairs):
+            out.append(sum((x * y for x, y in pairs), ZERO))
+            continue
+        xs, ys = [x.num for x, _ in pairs], [y.num for _, y in pairs]
+        short = max(min(len(a), len(b)) for a, b in zip(xs, ys))
+        long = max(max(len(a), len(b)) for a, b in zip(xs, ys))
+        bits, j = _kernel(short, long, xs, ys, tops)
+        if j:
+            out.append(_reduce(_kronecker(xs, ys, bits, j), 1))
+        elif bits:
+            binary.append((len(out), xs, ys, bits))
+            out.append(None)
         else:
-            _mul_schoolbook(a, b, out)
-    return _reduce(out, 1)
+            acc = [0] * max(len(a) + len(b) - 1 for a, b in zip(xs, ys))
+            for a, b in zip(xs, ys):
+                if a is b:
+                    _square_schoolbook(a, acc)
+                else:
+                    _mul_schoolbook(a, b, acc)
+            out.append(_reduce(acc, 1))
+    if binary:
+        bits, packs = max(b for *_, b in binary), {}
+        for i, xs, ys, _ in binary:
+            out[i] = _reduce(_kronecker(xs, ys, bits, 0, packs), 1)
+    return out
 
 
 def format_poly(p: Poly) -> str:

@@ -29,10 +29,11 @@ from pellred.kernels import (
     _kronecker_decimal,
     _mul_schoolbook,
     _square_schoolbook,
+    kronecker_pack,
     squares_in_decimal,
 )
 from pellred.polyring import NEG_INF, NotIntegral, ONE, ParseError, Poly, X, ZERO, parse_poly
-from pellred.polyring import MAX_PARSE_DEGREE, common_denominator, decimal_str, dot, power
+from pellred.polyring import MAX_PARSE_DEGREE, common_denominator, decimal_str, dot, dots, power
 
 
 def test_doctests():
@@ -739,6 +740,160 @@ class TestDot:
         assert dot([ZERO, p], [p, ZERO]) == ZERO
         assert dot([p, ZERO], [p, p]) == p * p
         assert dot([p], [Poly(Fraction(1, 2))]) == p / 2
+
+
+# An operand whose square packs past the decimal cut-off (2 * 100 * ~2010 bits).
+DECIMAL_LENGTH = 100
+
+
+@st.composite
+def dots_batches(draw):
+    """A batch of sums drawn from one pool of Polys, so that sums share
+    operand objects and pairs may be squares (x is y): int, Fraction and
+    zero operands of lengths across the floor and 32, now and then a
+    decimal-length operand with a sum of its square, and a sum whose top
+    coefficients cancel."""
+    rational = draw(st.booleans())
+    coeff = st.one_of(dot_coeff, dot_fraction) if rational else dot_coeff
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.sampled_from(DOT_LENGTHS))
+        pool.append(Poly(draw(st.lists(coeff, min_size=n, max_size=n))))
+    wide = draw(st.booleans())
+    if wide:  # seeded, as drawing its 100 kbit would overrun hypothesis's buffer
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        pool.append(Poly([rng.randrange(-(2**1000), 2**1000) for _ in range(DECIMAL_LENGTH - 1)] + [2**1000]))
+    index = st.integers(0, len(pool) - 1)
+    sums = []
+    for _ in range(draw(st.integers(1, 6))):
+        pairs = draw(st.lists(st.tuples(index, index), min_size=0, max_size=5))
+        sums.append(([pool[i] for i, _ in pairs], [pool[j] for _, j in pairs]))
+    if wide:  # a decimal sum, when its operands are integral
+        sums.append(([pool[-1], pool[draw(index)]], [pool[-1], pool[draw(index)]]))
+    if draw(st.booleans()):  # x*y - x*y plus one more pair: the top cancels
+        x, y, z = (pool[draw(index)] for _ in range(3))
+        sums.append(([x, -x, z], [y, y, z]))
+    return sums
+
+
+def lone_kernel(xs, ys):
+    """``_kernel``'s answer for the integer sum of xs*ys taken alone, with its
+    zero pairs dropped; None for a sum that ``dots`` takes as one product, as
+    the plain sum of its products or as zero."""
+    pairs = [(x.num, y.num) for x, y in zip(xs, ys) if x and y]
+    if len(pairs) < 2 or any(not (x.is_integral() and y.is_integral()) for x, y in zip(xs, ys)):
+        return None
+    short = max(min(len(a), len(b)) for a, b in pairs)
+    long = max(max(len(a), len(b)) for a, b in pairs)
+    return _kernel(short, long, [a for a, _ in pairs], [b for _, b in pairs])
+
+
+class TestDots:
+    """``dots``, the batch form of ``dot``: every sum as it would be alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(dots_batches())
+    def test_matches_each_sum_alone(self, sums):
+        got = dots(sums)
+        assert got == [reference_dot(xs, ys) for xs, ys in sums]
+        assert got == [sum((x * y for x, y in zip(xs, ys)), ZERO) for xs, ys in sums]
+        assert all(p.num == () or p.num[-1] != 0 for p in got)  # canonical
+
+    def test_one_pair_is_that_product(self):
+        # No addition: the product itself, for an integer or rational pair.
+        x, y, half = Poly("x^2-3"), Poly("2x+1"), Poly([Fraction(1, 2), 1])
+        with mock.patch.object(Poly, "__add__", side_effect=AssertionError("added")):
+            assert dots([([x, ZERO], [y, x]), ([half], [y]), ([x], [x])]) == [x * y, half * y, x * x]
+
+    def test_mixed_kernels_in_one_batch(self):
+        # A schoolbook, a binary and a decimal sum sharing operands, a square,
+        # a cancelling sum, a one-pair sum, a rational sum and an empty one.
+        rng = random.Random(18)
+        short = Poly([rng.randrange(-9, 10) for _ in range(4)] + [1])
+        mid = Poly([rng.randrange(-(2**60), 2**60) for _ in range(KRONECKER_MIN_LEN)])
+        wide = Poly([rng.randrange(-(2**1000), 2**1000) for _ in range(DECIMAL_LENGTH)])
+        half = Poly([Fraction(1, 2), 3])
+        sums = [
+            ([short, short], [mid, short]),
+            ([mid, mid, short], [mid, short, mid]),
+            ([wide, mid], [wide, wide]),
+            ([mid, -mid], [wide, wide]),
+            ([mid], [wide]),
+            ([half, short], [short, mid]),
+            ([], []),
+        ]
+        with (
+            mock.patch.object(pellred.polyring, "_kronecker", wraps=_kronecker) as kron,
+            mock.patch.object(pellred.polyring, "_mul_schoolbook", wraps=_mul_schoolbook) as school,
+        ):
+            got = dots(sums)
+        assert got == [reference_dot(xs, ys) for xs, ys in sums]
+        assert got[3] == ZERO and got[6] == ZERO
+        radices = [(c.args[2], c.args[3]) for c in kron.call_args_list]
+        assert sum(j > 0 for _, j in radices) >= 1 and sum(j == 0 for _, j in radices) >= 2
+        assert school.called
+
+    def test_each_sum_takes_its_own_kernel(self):
+        # The kernel each sum takes inside a batch is _kernel's answer for
+        # that sum alone; the batch's binary sums share the widest radix.
+        rng = random.Random(7)
+
+        def poly(length, top):
+            return Poly([rng.randrange(-(2**top), 2**top) for _ in range(length - 1)] + [1])
+
+        # Equal lengths with unequal coefficient sizes, so a scan or pack
+        # remembered for the wrong operand would show.
+        shapes = [(3, 5), (12, 20), (12, 200), (20, 40), (24, 8), (32, 90), (32, 700), (40, 300), (DECIMAL_LENGTH, 1000)]
+        pool = [poly(n, top) for n, top in shapes]
+        windows = range(len(pool) - 2)
+        sums = [(pool[i : i + 3], pool[j : j + 3][::-1]) for i in windows for j in windows]
+        sums += [([x, x], [x, y]) for x in pool for y in pool]
+        taken = {}
+
+        def ask(short, long, xs, ys, tops=None):
+            kernel = _kernel(short, long, xs, ys, tops)
+            assert kernel == _kernel(short, long, xs, ys)  # the batch's scans change nothing
+            return kernel
+
+        def record(xs, ys, bits, j, packs=None):
+            taken[tuple(xs), tuple(ys)] = bits, j
+            return _kronecker(xs, ys, bits, j, packs)
+
+        with (
+            mock.patch.object(pellred.polyring, "_kernel", side_effect=ask),
+            mock.patch.object(pellred.polyring, "_kronecker", side_effect=record),
+        ):
+            got = dots(sums)
+        assert got == [reference_dot(xs, ys) for xs, ys in sums]
+        alone = [lone_kernel(xs, ys) for xs, ys in sums]
+        widest = max(bits for bits, j in alone if bits and not j)
+        for (xs, ys), (bits, j) in zip(sums, alone):
+            key = tuple(x.num for x in xs), tuple(y.num for y in ys)
+            if not bits:
+                assert key not in taken
+            else:
+                assert taken[key] == ((bits, j) if j else (widest, 0))
+        kinds = {(bool(bits), bool(j)) for bits, j in alone}
+        assert kinds == {(False, False), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("rest", [1, 2, 4])
+    def test_a_bareiss_step_packs_each_operand_once(self, rest):
+        # The cross terms pivot*a[i][j] - c[i]*r[j] of one elimination step
+        # over ``rest`` rows and columns: (rest + 1)^2 distinct operands.
+        rng = random.Random(rest)
+
+        def poly():
+            top = rng.choice([3, 50, 120])  # equal lengths, unequal sizes
+            return Poly([rng.randrange(-(2**top), 2**top) for _ in range(KRONECKER_MIN_LEN + 3)])
+
+        pivot, col, row = poly(), [poly() for _ in range(rest)], [poly() for _ in range(rest)]
+        a = [[poly() for _ in range(rest)] for _ in range(rest)]
+        scales = [(pivot, -c) for c in col]
+        sums = [(scales[i], (a[i][j], row[j])) for i in range(rest) for j in range(rest)]
+        with mock.patch.object(pellred.kernels, "kronecker_pack", wraps=kronecker_pack) as spy:
+            got = dots(sums)
+        assert spy.call_count == (rest + 1) ** 2
+        assert got == [pivot * a[i][j] - col[i] * row[j] for i in range(rest) for j in range(rest)]
 
 
 class TestIntegerDivision:
