@@ -1,11 +1,12 @@
 """Product kernels on integer coefficient sequences, ascending as ``Poly.num``.
 
 Schoolbook products and squares, Kronecker substitution of a whole sum of
-products at a binary or a decimal radix, and ``_kernel``, the one predicate
-that picks among them from the two lengths and a bound on the coefficient
-bits.  ``polyring`` runs ``Poly`` products and ``dot`` through these on its
-numerators, and ``pell2.verify`` packs its point test with
-``kronecker_pack``; nothing here sees a ``Poly``.  Decimal packing is capped
+products at a binary or a decimal radix, and ``_kernel``, the one rule
+that picks among them: schoolbook or Kronecker from the lengths alone, and
+Kronecker's radix from a bound on the coefficient bits.  ``polyring`` runs
+``Poly`` products and ``dots`` through these on its numerators, and
+``pell2.verify`` packs its point test with ``kronecker_pack``; nothing here
+sees a ``Poly``.  Decimal packing is capped
 at 640 digits, about 2100-bit product coefficients; wider ones stay binary.
 
 The kernels are a module of their own because compiling a module from
@@ -24,26 +25,14 @@ from operator import mul
 #: thousands of products with a 2- to 5-coefficient operand.
 KRONECKER_FLOOR = 10
 
-#: Shorter operand length from which every product goes through Kronecker
-#: substitution, whatever its coefficient size: the shortest length at which
-#: Kronecker was no slower than schoolbook for any coefficient size measured
-#: (8 to 1024 bits; crossover grids in CHANGES.md).
-KRONECKER_MIN_LEN = 32
-
-#: Between ``KRONECKER_FLOOR`` and ``KRONECKER_MIN_LEN`` one rule: a sum of
-#: products takes Kronecker substitution when its schoolbook work, the sum
-#: over its pairs of the two lengths' product, is at least ``_BAND_MIN_WORK``
-#: and its bit bound (``_kronecker_bits``) at most ``_BAND_MAX_BITS``; a
-#: square when its length is at least ``_BAND_MIN_SQUARE`` and its bit bound
-#: at most ``_BAND_MAX_BITS``.  The lengths are tested before any coefficient
-#: is scanned.  Fitted on grids of schoolbook over binary Kronecker time and
-#: checked on every product and sum the benchmark's four workloads make in
-#: this band (seed 1: bit bounds of 17 to 235); CHANGES.md has both.  Wider
-#: coefficients stay schoolbook in the band, where the grids measured them
-#: no faster in Kronecker.
-_BAND_MIN_WORK = 256
-_BAND_MIN_SQUARE = 18
-_BAND_MAX_BITS = 256
+#: From ``KRONECKER_FLOOR`` on, a sum of products takes Kronecker
+#: substitution when its schoolbook work, the sum over its pairs of the two
+#: lengths' product (n^2 for a square), is at least this, whatever the size
+#: of its coefficients, and schoolbook below it.  The lengths are tested
+#: before any coefficient is scanned.  Fitted on grids of schoolbook over
+#: binary Kronecker time and checked against a census of every product and
+#: sum the benchmark's four workloads make (CHANGES.md).
+KRONECKER_MIN_WORK = 256
 
 #: Smallest packed size, in bits, from which a Kronecker product is taken in
 #: decimal: the shorter operand's length times ``_kronecker_bits`` must reach
@@ -77,23 +66,13 @@ def _kernel(short: int, long: int, xs, ys, tops=None) -> tuple[int, int]:
     ``_kronecker_bits``'s scan memo.
 
     This is the package's one kernel rule: ``Poly.__mul__``, ``dots`` and
-    ``squares_in_decimal`` (so ``pell2.verify``'s route) all ask it.  Below
-    ``KRONECKER_FLOOR`` it reads the lengths only.
+    ``squares_in_decimal`` (so ``pell2.verify``'s route) all ask it.  It
+    reads a coefficient only once it has taken Kronecker, for the radix.
     """
-    if short < KRONECKER_FLOOR:
-        return _SCHOOLBOOK
-    if short >= KRONECKER_MIN_LEN:
-        bits = _kronecker_bits(xs, ys, tops)
-        return bits, _decimal_digits(short, long, bits)
-    if len(xs) == 1 and xs[0] is ys[0]:
-        if short < _BAND_MIN_SQUARE:
-            return _SCHOOLBOOK
-    elif sum(map(mul, map(len, xs), map(len, ys))) < _BAND_MIN_WORK:
+    if short < KRONECKER_FLOOR or sum(map(mul, map(len, xs), map(len, ys))) < KRONECKER_MIN_WORK:
         return _SCHOOLBOOK
     bits = _kronecker_bits(xs, ys, tops)
-    # A band product's shorter operand packs to under 32 * _BAND_MAX_BITS
-    # bits, far below half the decimal cut-off, so it is binary.
-    return (bits, 0) if bits <= _BAND_MAX_BITS else _SCHOOLBOOK
+    return bits, _decimal_digits(short, long, bits)
 
 
 def _kronecker_bits(xs, ys, tops=None) -> int:

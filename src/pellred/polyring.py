@@ -470,7 +470,8 @@ class Poly:
     @classmethod
     def from_json(cls, data: dict) -> Poly:
         """Read ``to_json``'s form; ValueError on text it never writes."""
-        coeffs, den = data["coeffs"], data.get("den")
+        data = data if isinstance(data, dict) else {}
+        coeffs, den = data.get("coeffs"), data.get("den")
         if not isinstance(coeffs, list) or not isinstance(den, (list, type(None))):
             raise ValueError("coeffs and den must be lists of integer texts")
         nums = [_decimal_int(s) for s in coeffs]
@@ -621,9 +622,9 @@ def parse_poly(text: str) -> Poly:
             i += 1
         if i == start:
             return None
-        try:  # ASCII bytes, so a digit such as '²' or '٣' fails to encode
-            return int(text[start:i].encode("ascii"))
-        except ValueError:  # that UnicodeEncodeError, or too many digits
+        try:  # ASCII digits of any length, as format_poly writes them
+            return _decimal_int(text[start:i])
+        except ValueError:  # a digit such as '²' or '٣'
             raise ParseError("malformed number", start) from None
 
     def read_term(sign: int):

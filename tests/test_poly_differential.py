@@ -14,7 +14,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pellred.kernels import KRONECKER_FLOOR, KRONECKER_MIN_LEN, _mul_schoolbook, _square_schoolbook
+from pellred.kernels import KRONECKER_FLOOR, _mul_schoolbook, _square_schoolbook
 from pellred.polyring import ONE, Poly, decimal_str, format_poly
 
 
@@ -139,10 +139,11 @@ coeff = st.one_of(ints, fracs)
 short_lists = st.lists(coeff, max_size=6)
 coeff_lists = st.one_of(
     short_lists,
-    # Integer-only operands long enough for the Kronecker kernel, always or
-    # by the band of lengths between the floor and KRONECKER_MIN_LEN.
-    st.lists(st.integers(-(2**40), 2**40), min_size=KRONECKER_MIN_LEN, max_size=KRONECKER_MIN_LEN + 3),
-    st.lists(st.integers(-(2**40), 2**40), min_size=KRONECKER_FLOOR - 1, max_size=KRONECKER_MIN_LEN - 1),
+    # Integer-only operands long enough for the Kronecker kernel: from 32
+    # coefficients always, and from the floor to 31 where the product's
+    # schoolbook work reaches KRONECKER_MIN_WORK.
+    st.lists(st.integers(-(2**40), 2**40), min_size=32, max_size=35),
+    st.lists(st.integers(-(2**40), 2**40), min_size=KRONECKER_FLOOR - 1, max_size=31),
 )
 
 

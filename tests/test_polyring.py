@@ -17,10 +17,7 @@ import pellred.polyring
 from pellred.kernels import (
     KRONECKER_DECIMAL_MIN_BITS,
     KRONECKER_FLOOR,
-    KRONECKER_MIN_LEN,
-    _BAND_MAX_BITS,
-    _BAND_MIN_SQUARE,
-    _BAND_MIN_WORK,
+    KRONECKER_MIN_WORK,
     _DECIMAL_MAX_BITS,
     _decimal_digits,
     _kernel,
@@ -33,7 +30,10 @@ from pellred.kernels import (
     squares_in_decimal,
 )
 from pellred.polyring import NEG_INF, NotIntegral, ONE, ParseError, Poly, X, ZERO, parse_poly
-from pellred.polyring import MAX_PARSE_DEGREE, common_denominator, decimal_str, dot, dots, power
+from pellred.polyring import MAX_PARSE_DEGREE, common_denominator, decimal_str, dot, dots, format_poly, power
+
+#: A length whose products and squares always take Kronecker substitution.
+ALWAYS_KRONECKER = 32
 
 
 def test_doctests():
@@ -300,10 +300,20 @@ class TestJson:
 
     @pytest.mark.parametrize(
         "data",
-        [{"coeffs": "12"}, {"coeffs": ("1", "2")}, {"coeffs": ["1"], "den": "2"}, {"coeffs": ["1"], "den": ("2",)}],
+        [
+            {"coeffs": "12"},
+            {"coeffs": ("1", "2")},
+            {"coeffs": ["1"], "den": "2"},
+            {"coeffs": ["1"], "den": ("2",)},
+            [1],
+            None,
+            "x",
+            {"den": None},
+        ],
     )
     def test_rejects_fields_that_are_not_lists(self, data):
-        # A string would be read character by character: "12" as 2x+1.
+        # A string would be read character by character: "12" as 2x+1.  Data
+        # that is no dict, or has no coeffs, is no Poly either.
         with pytest.raises(ValueError):
             Poly.from_json(data)
 
@@ -328,11 +338,18 @@ class TestParseLimits:
             parse_poly(bad)
 
     def test_too_many_digits(self):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not limit:
-            pytest.skip("this interpreter has no int string-conversion limit")
-        with pytest.raises(ParseError, match="malformed number"):
-            parse_poly("1" * (limit + 1))
+        # A digit run past the interpreter's int/str digit limit (4300 by
+        # default) is read all the same, as format_poly writes it.
+        digits = "1" * 5000
+        assert parse_poly(digits) == Poly([int(Decimal(digits))])
+        assert parse_poly(f"x^2-{digits}x").coeffs == (0, -int(Decimal(digits)), 1)
+
+    def test_format_round_trip_past_the_digit_limit(self):
+        # The CLI prints such coefficients, e.g. solve -f 1<1100 zeros>x
+        # -d -1 -n 4, and verify and identify must read them back.
+        big = 7 * 10**4400 + 3
+        for p in (Poly([big, 0, -big]), Poly([-1, big]) ** 2, Poly([1, 0, 1]) * big):
+            assert parse_poly(format_poly(p)) == p
 
 
 wide_coeff = st.one_of(
@@ -348,13 +365,13 @@ def int_coeffs(length):
     )
 
 
-LENGTHS = [1, 3, KRONECKER_FLOOR - 1, KRONECKER_FLOOR, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 2 * KRONECKER_MIN_LEN + 5]
+LENGTHS = [1, 3, KRONECKER_FLOOR - 1, KRONECKER_FLOOR, ALWAYS_KRONECKER - 1, ALWAYS_KRONECKER, 2 * ALWAYS_KRONECKER + 5]
 any_length = st.sampled_from(LENGTHS).flatmap(int_coeffs)
 
 
 def kronecker_product(a, b) -> list:
     """a*b by Kronecker substitution at any lengths, at the radix ``_kernel``
-    takes from ``KRONECKER_MIN_LEN`` coefficients on (a square when b is a)."""
+    takes for it (a square when b is a)."""
     bits = _kronecker_bits((a,), (b,))
     return _kronecker((a,), (b,), bits, _decimal_digits(min(len(a), len(b)), max(len(a), len(b)), bits))
 
@@ -377,15 +394,15 @@ class TestKronecker:
         # bound that sets the digit width.
         for k in (0, 7, 8, 63, 64):
             for sign in (1, -1):
-                a = [sign * 2**k] * KRONECKER_MIN_LEN
-                b = [-(2**k)] * (KRONECKER_MIN_LEN + 3)
+                a = [sign * 2**k] * ALWAYS_KRONECKER
+                b = [-(2**k)] * (ALWAYS_KRONECKER + 3)
                 assert kronecker_product(a, b) == _mul_schoolbook(a, b)
                 assert kronecker_product(a, a) == _square_schoolbook(a)
 
     def test_fraction_operands_match_schoolbook(self):
         # Rational operands go through the kernel on their integer numerators.
-        p = Poly([Fraction(1, 3)] + [1] * KRONECKER_MIN_LEN)
-        q = Poly(list(range(1, KRONECKER_MIN_LEN + 2)))
+        p = Poly([Fraction(1, 3)] + [1] * ALWAYS_KRONECKER)
+        q = Poly(list(range(1, ALWAYS_KRONECKER + 2)))
         expected = _mul_schoolbook(p.coeffs, q.coeffs)
         while expected and expected[-1] == 0:
             expected.pop()
@@ -442,12 +459,12 @@ def operand_pairs(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     pattern = draw(st.sampled_from(["random", "negative", "sparse", "extreme"]))
     k = draw(st.sampled_from([8, 200, 500, 707, 1057]))
-    a = operand(rng, draw(st.sampled_from([KRONECKER_MIN_LEN, 100, 255])), k, pattern)
+    a = operand(rng, draw(st.sampled_from([ALWAYS_KRONECKER, 100, 255])), k, pattern)
     kind = draw(st.sampled_from(["square", "copy", "product"]))
     if kind != "product":
         return a, (a if kind == "square" else list(a))
     k = draw(st.sampled_from([k, 8, 1057]))
-    return a, operand(rng, draw(st.sampled_from([KRONECKER_MIN_LEN, 100, 255, 400])), k, pattern)
+    return a, operand(rng, draw(st.sampled_from([ALWAYS_KRONECKER, 100, 255, 400])), k, pattern)
 
 
 class TestDecimalKronecker:
@@ -507,8 +524,8 @@ class TestDecimalKronecker:
             sys.set_int_max_str_digits(limit)
 
     def test_callers_decimal_context_is_neither_used_nor_changed(self):
-        a = [(-1) ** i * 3**300 + i for i in range(KRONECKER_MIN_LEN)]
-        b = [7**300 - i for i in range(KRONECKER_MIN_LEN + 5)]
+        a = [(-1) ** i * 3**300 + i for i in range(ALWAYS_KRONECKER)]
+        b = [7**300 - i for i in range(ALWAYS_KRONECKER + 5)]
         outer = repr(decimal.getcontext())
         with decimal.localcontext() as ctx:
             ctx.prec = 3
@@ -555,74 +572,111 @@ def kernel_of(a, b):
     return _kernel(short, long, (a,), (b,))
 
 
-def band_boundaries(square):
-    """(short, long, bits, Kronecker expected) on both sides of every
-    boundary of the band rule: the least work (products) or length
-    (squares), the largest bit bound, the floor and KRONECKER_MIN_LEN."""
-    cases = []
-    shorts = (_BAND_MIN_SQUARE,) if square else (KRONECKER_FLOOR, 16)
-    for short in shorts + (KRONECKER_MIN_LEN - 1,):
-        long = short if square else max(short, -(-_BAND_MIN_WORK // short))
-        for bits in (24, _BAND_MAX_BITS):
-            cases.append((short, long, bits, True))
-        cases.append((short, long, _BAND_MAX_BITS + 1, False))
-        if not square and long - 1 >= short and short * (long - 1) < _BAND_MIN_WORK:
-            cases.append((short, long - 1, 24, False))
-    if square:
-        cases.append((_BAND_MIN_SQUARE - 1, _BAND_MIN_SQUARE - 1, 24, False))
-    else:  # the shorter side one less, the work just under
-        cases.append((15, 17, 24, False))
-    cases.append((KRONECKER_MIN_LEN, KRONECKER_MIN_LEN if square else 60, _BAND_MAX_BITS + 1, True))
-    cases.append((KRONECKER_FLOOR - 1, KRONECKER_FLOOR - 1 if square else 200, 40, False))
-    return cases
+class Unread:
+    """A stand-in operand of ``n`` coefficients that fails when one is read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        raise AssertionError("a coefficient was read")
+
+
+# (short, long, bits, Kronecker expected) on both sides of the floor and of
+# KRONECKER_MIN_WORK, in the band of lengths where the work decides, at
+# narrow and wide coefficients alike.
+PRODUCT_BAND = [
+    (9, 200, 40, False),  # below the floor, whatever the work
+    (10, 25, 24, False),  # work 250
+    (10, 26, 24, True),  # work 260
+    (10, 26, 256, True),
+    (10, 26, 257, True),
+    (10, 26, 2000, True),
+    (15, 17, 24, False),  # work 255
+    (16, 16, 24, True),  # work 256
+    (16, 16, 256, True),
+    (16, 16, 257, True),
+    (31, 31, 24, True),
+    (31, 31, 256, True),
+    (31, 31, 257, True),
+    (32, 60, 257, True),
+]
+# The same for squares, n x n: 225 work at 15 coefficients, 256 at 16.
+SQUARE_BAND = [
+    (9, 9, 40, False),
+    (15, 15, 24, False),
+    (15, 15, 1000, False),
+    (16, 16, 24, True),
+    (16, 16, 257, True),
+    (17, 17, 24, True),
+    (18, 18, 24, True),
+    (18, 18, 256, True),
+    (18, 18, 257, True),
+    (31, 31, 24, True),
+    (31, 31, 256, True),
+    (31, 31, 257, True),
+    (32, 32, 257, True),
+]
 
 
 class TestKernelChoice:
-    """The one kernel predicate: products on both sides of each boundary
-    against the schoolbook reference."""
+    """The one kernel rule: products on both sides of each boundary against
+    the schoolbook reference."""
 
     def test_band_constants(self):
-        # The band's thresholds lie inside it, and a band product is too
-        # small for the decimal kernel, which _kernel takes for granted.
-        assert KRONECKER_FLOOR**2 < _BAND_MIN_WORK <= (KRONECKER_MIN_LEN - 1) ** 2
-        assert KRONECKER_FLOOR <= _BAND_MIN_SQUARE < KRONECKER_MIN_LEN
-        assert _decimal_digits(KRONECKER_MIN_LEN - 1, 10**9, _BAND_MAX_BITS) == 0
+        # The cases above sit on both sides of the rule's two constants, and
+        # ALWAYS_KRONECKER is past both.
+        assert KRONECKER_FLOOR == 10
+        assert 10 * 25 < KRONECKER_MIN_WORK <= 10 * 26
+        assert 15 * 17 < KRONECKER_MIN_WORK <= 16 * 16
+        assert ALWAYS_KRONECKER >= KRONECKER_FLOOR and ALWAYS_KRONECKER**2 >= KRONECKER_MIN_WORK
 
     def test_below_the_floor_reads_no_coefficient(self):
-        # Sweep and high-index make thousands of products with a short operand.
+        # Sweep and high-index make thousands of products with a short
+        # operand, and degree-m thousands of sums below the least work: the
+        # lengths decide them.  Kronecker reads the coefficients, for its radix.
         assert _kernel(KRONECKER_FLOOR - 1, 10**6, None, None) == (0, 0)
         with pytest.raises(TypeError):
             _kernel(KRONECKER_FLOOR, 10**6, None, None)
+        a, square = Unread(KRONECKER_FLOOR), Unread(15)
+        assert _kernel(KRONECKER_FLOOR, 25, (a,), (Unread(25),)) == (0, 0)
+        assert _kernel(15, 15, (square,), (square,)) == (0, 0)
+        assert _kernel(KRONECKER_FLOOR, 12, (a, a), (Unread(12), Unread(12))) == (0, 0)
+        with pytest.raises(AssertionError, match="read"):
+            _kernel(KRONECKER_FLOOR, 26, (a,), (Unread(26),))
 
-    @pytest.mark.parametrize("short, long, bits, kronecker", band_boundaries(False))
+    @pytest.mark.parametrize("short, long, bits, kronecker", PRODUCT_BAND)
     def test_product_band(self, short, long, bits, kronecker):
         a, b = shaped(short, long, bits)
-        assert bool(kernel_of(a, b)[0]) is kronecker
-        assert kernel_of(b, a) == kernel_of(a, b)
+        kernel = (bits, _decimal_digits(short, long, bits)) if kronecker else (0, 0)
+        assert kernel_of(a, b) == kernel_of(b, a) == kernel
         want = Poly(_mul_schoolbook(a, b))
         assert Poly(a) * Poly(b) == want and Poly(b) * Poly(a) == want
 
-    @pytest.mark.parametrize("n, _, bits, kronecker", band_boundaries(True))
+    @pytest.mark.parametrize("n, _, bits, kronecker", SQUARE_BAND)
     def test_square_band(self, n, _, bits, kronecker):
         a, _ = shaped(n, n, bits)
-        assert bool(_kernel(n, n, (a,), (a,))[0]) is kronecker
+        assert _kernel(n, n, (a,), (a,)) == ((_kronecker_bits((a,), (a,)), 0) if kronecker else (0, 0))
         p = Poly(a)
         assert p.square() == Poly(_square_schoolbook(a)) == p * Poly(list(a))
 
     def test_sums_count_the_work_of_every_pair(self):
-        # One 10 x 12 product is below the band's least work; three are not.
+        # One 10 x 12 product is below the least work; three are not.
         a, b = shaped(KRONECKER_FLOOR, 12, 60)
-        assert KRONECKER_FLOOR * 12 < _BAND_MIN_WORK <= 3 * KRONECKER_FLOOR * 12
+        assert KRONECKER_FLOOR * 12 < KRONECKER_MIN_WORK <= 3 * KRONECKER_FLOOR * 12
         assert kernel_of(a, b) == (0, 0)
         assert _kernel(KRONECKER_FLOOR, 12, [a] * 3, [b] * 3)[0]
 
     def test_squares_in_decimal_is_the_balanced_rule(self):
         # For a square the decimal rule is the earlier one: the operand packs
         # to KRONECKER_DECIMAL_MIN_BITS and its digits fit in 640.
-        for n in (KRONECKER_FLOOR, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 100, 255, 577):
+        for n in (KRONECKER_FLOOR, 15, 16, ALWAYS_KRONECKER, 100, 255, 577):
             for bits in range(40, 2300, 37):
                 j = least_digits(bits)
-                earlier = n >= KRONECKER_MIN_LEN and n * bits >= KRONECKER_DECIMAL_MIN_BITS and j <= 640
+                earlier = n * bits >= KRONECKER_DECIMAL_MIN_BITS and j <= 640
                 cs = [1] * n
                 with mock.patch.object(pellred.kernels, "_kronecker_bits", return_value=bits):
                     assert squares_in_decimal(cs) is earlier, (n, bits)
@@ -632,7 +686,7 @@ class TestKernelChoice:
         # Its length test only skips squares that cannot reach the cut-off.
         assert max(b for b in range(1, 3000) if _decimal_digits(10**6, 10**6, b)) == _DECIMAL_MAX_BITS
         with mock.patch.object(pellred.kernels, "KRONECKER_DECIMAL_MIN_BITS", cutoff):
-            for n in (KRONECKER_FLOOR, 16, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 94, 95, 100):
+            for n in (KRONECKER_FLOOR, 15, 16, ALWAYS_KRONECKER, 94, 95, 100):
                 for top in (1, 300, 1060, 1061, 1100):
                     cs = [(1 << top) - 1] * n
                     assert squares_in_decimal(cs) is (_kernel(n, n, (cs,), (cs,))[1] > 0), (n, top)
@@ -670,8 +724,8 @@ def reference_dot(xs, ys) -> Poly:
     return total
 
 
-# Lengths on both sides of the floor and of KRONECKER_MIN_LEN, zero included.
-DOT_LENGTHS = [0, 1, 3, KRONECKER_FLOOR - 1, KRONECKER_FLOOR, 16, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 40]
+# Lengths on both sides of the floor and of KRONECKER_MIN_WORK, zero included.
+DOT_LENGTHS = [0, 1, 3, KRONECKER_FLOOR - 1, KRONECKER_FLOOR, 15, 16, ALWAYS_KRONECKER - 1, ALWAYS_KRONECKER, 40]
 dot_coeff = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
 dot_fraction = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
 
@@ -706,7 +760,7 @@ class TestDot:
         assert got.num == () or got.num[-1] != 0  # canonical
 
     @pytest.mark.parametrize("extra", [0, 1, 3])
-    @pytest.mark.parametrize("length", [KRONECKER_FLOOR - 1, KRONECKER_MIN_LEN])
+    @pytest.mark.parametrize("length", [KRONECKER_FLOOR - 1, ALWAYS_KRONECKER])
     def test_both_kernels_on_cancelling_sums(self, extra, length):
         # x*y - x*y summed with ``extra`` short pairs: the top coefficients
         # cancel, so the unpacked sum has trailing zeros to strip.
@@ -717,7 +771,7 @@ class TestDot:
         xs, ys = [x, -x] + small, [y, y] + small[::-1]
         with mock.patch.object(pellred.polyring, "_kronecker", wraps=_kronecker) as spy:
             got = dot(xs, ys)
-        assert spy.called is (length >= KRONECKER_MIN_LEN)
+        assert spy.called is (length >= ALWAYS_KRONECKER)
         assert got == reference_dot(xs, ys)
         assert got.degree < x.degree + y.degree
 
@@ -810,7 +864,7 @@ class TestDots:
         # a cancelling sum, a one-pair sum, a rational sum and an empty one.
         rng = random.Random(18)
         short = Poly([rng.randrange(-9, 10) for _ in range(4)] + [1])
-        mid = Poly([rng.randrange(-(2**60), 2**60) for _ in range(KRONECKER_MIN_LEN)])
+        mid = Poly([rng.randrange(-(2**60), 2**60) for _ in range(ALWAYS_KRONECKER)])
         wide = Poly([rng.randrange(-(2**1000), 2**1000) for _ in range(DECIMAL_LENGTH)])
         half = Poly([Fraction(1, 2), 3])
         sums = [
@@ -884,7 +938,7 @@ class TestDots:
 
         def poly():
             top = rng.choice([3, 50, 120])  # equal lengths, unequal sizes
-            return Poly([rng.randrange(-(2**top), 2**top) for _ in range(KRONECKER_MIN_LEN + 3)])
+            return Poly([rng.randrange(-(2**top), 2**top) for _ in range(ALWAYS_KRONECKER + 3)])
 
         pivot, col, row = poly(), [poly() for _ in range(rest)], [poly() for _ in range(rest)]
         a = [[poly() for _ in range(rest)] for _ in range(rest)]
