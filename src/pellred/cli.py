@@ -21,6 +21,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pellred",
         description="Exact polynomial Pell equation toolkit built on Redei polynomials.",
+        # `pellred verify @args.txt` reads one argument per line of the file:
+        # the way in for polynomials past the OS limit on one argument.
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,10 +3,10 @@
 Schoolbook products and squares, Kronecker substitution of a whole sum of
 products at a binary or a decimal radix, and ``_kernel``, the one rule
 that picks among them: schoolbook or Kronecker from the lengths alone, and
-Kronecker's radix from a bound on the coefficient bits.  ``polyring`` runs
-``Poly`` products and ``dots`` through these on its numerators, and
-``pell2.verify`` packs its point test with ``kronecker_pack``; nothing here
-sees a ``Poly``.  Decimal packing is capped
+Kronecker's radix from the shorter length and a bound on the coefficient
+bits.  ``polyring`` runs ``Poly`` products and ``dots`` through these on its
+numerators, and ``pell2.verify`` packs its point test with
+``kronecker_pack``; nothing here sees a ``Poly``.  Decimal packing is capped
 at 640 digits, about 2100-bit product coefficients; wider ones stay binary.
 
 The kernels are a module of their own because compiling a module from
@@ -34,15 +34,11 @@ KRONECKER_FLOOR = 10
 #: sum the benchmark's four workloads make (CHANGES.md).
 KRONECKER_MIN_WORK = 256
 
-#: Smallest packed size, in bits, from which a Kronecker product is taken in
-#: decimal: the shorter operand's length times ``_kronecker_bits`` must reach
-#: half of it, and the two lengths' sum times the bits twice it.  For a square
-#: both say that the operand packs to at least this size.  From 210 kbit on,
-#: decimal was the faster kernel for every balanced shape measured, 64 to 1000
-#: coefficients of 100 to 1000 bits (up to 4x at 2 Mbit), and below 200 kbit
-#: up to 2.8x slower on some.  Lopsided products with a shorter side from
-#: 100 kbit ran up to 1.85x faster in decimal, and those with a shorter side
-#: of 6 to 45 kbit up to 4.5x slower (grids in CHANGES.md).
+#: A Kronecker product is taken in decimal from the point where its shorter
+#: operand's length times ``_kronecker_bits`` reaches this many bits.  From
+#: 210 kbit on, decimal was the faster kernel for every balanced shape
+#: measured, 64 to 1000 coefficients of 100 to 1000 bits (up to 4x at
+#: 2 Mbit), and below 200 kbit up to 2.8x slower on some (grids in CHANGES.md).
 KRONECKER_DECIMAL_MIN_BITS = 200_000
 
 #: Exact decimal arithmetic for the decimal Kronecker product: no operation
@@ -56,14 +52,13 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 _SCHOOLBOOK = (0, 0)
 
 
-def _kernel(short: int, long: int, xs, ys, tops=None) -> tuple[int, int]:
+def _kernel(short: int, xs, ys, tops=None) -> tuple[int, int]:
     """The kernel for the sum of x*y over the pairs of integer coefficient
-    sequences ``xs`` and ``ys``, whose largest shorter and longer operand
-    lengths are ``short`` and ``long``: ``(0, 0)`` for schoolbook, else
-    ``(bits, j)`` for Kronecker substitution with bit bound ``bits`` at radix
-    10^j, or in binary where j is 0.  A sum of several pairs weighs the
-    schoolbook work of all of them, as it unpacks only once.  ``tops`` is
-    ``_kronecker_bits``'s scan memo.
+    sequences ``xs`` and ``ys``, whose largest shorter operand length is
+    ``short``: ``(0, 0)`` for schoolbook, else ``(bits, j)`` for Kronecker
+    substitution with bit bound ``bits`` at radix 10^j, or in binary where j
+    is 0.  A sum of several pairs weighs the schoolbook work of all of them,
+    as it unpacks only once.  ``tops`` is ``_kronecker_bits``'s scan memo.
 
     This is the package's one kernel rule: ``Poly.__mul__``, ``dots`` and
     ``squares_in_decimal`` (so ``pell2.verify``'s route) all ask it.  It
@@ -72,7 +67,7 @@ def _kernel(short: int, long: int, xs, ys, tops=None) -> tuple[int, int]:
     if short < KRONECKER_FLOOR or sum(map(mul, map(len, xs), map(len, ys))) < KRONECKER_MIN_WORK:
         return _SCHOOLBOOK
     bits = _kronecker_bits(xs, ys, tops)
-    return bits, _decimal_digits(short, long, bits)
+    return bits, _decimal_digits(short, bits)
 
 
 def _kronecker_bits(xs, ys, tops=None) -> int:
@@ -105,15 +100,15 @@ def _kronecker_bits(xs, ys, tops=None) -> int:
 _DECIMAL_MAX_BITS = 2122
 
 
-def _decimal_digits(short: int, long: int, bits: int) -> int:
-    """The digit count j of the decimal Kronecker product of operands with
-    ``short`` and ``long`` coefficients whose product coefficients are below
-    2^bits, or 0 when that product is taken in binary."""
+def _decimal_digits(short: int, bits: int) -> int:
+    """The digit count j of the decimal Kronecker product with a shorter
+    operand of ``short`` coefficients and product coefficients below 2^bits,
+    or 0 when that product is binary: decimal needs ``short * bits`` to reach
+    ``KRONECKER_DECIMAL_MIN_BITS`` and j <= 640 (bits <= ``_DECIMAL_MAX_BITS``)."""
     # 30103/100000 exceeds log10(2), so 10^(j-1) > 2^bits holds for this j;
     # for every bits up to 13300, far past j = 640, it is the least such j.
     j = bits * 30103 // 100000 + 2
-    cut = KRONECKER_DECIMAL_MIN_BITS
-    return j if j <= 640 and 2 * short * bits >= cut and (short + long) * bits >= 2 * cut else 0
+    return j if j <= 640 and short * bits >= KRONECKER_DECIMAL_MIN_BITS else 0
 
 
 def squares_in_decimal(cs) -> bool:
@@ -122,7 +117,7 @@ def squares_in_decimal(cs) -> bool:
     ``_DECIMAL_MAX_BITS`` would not pack ``cs`` to the cut-off: ``pell2.verify``
     asks this of every solution it checks."""
     n = len(cs)
-    return n * _DECIMAL_MAX_BITS >= KRONECKER_DECIMAL_MIN_BITS and _kernel(n, n, (cs,), (cs,))[1] > 0
+    return _decimal_digits(n, _DECIMAL_MAX_BITS) > 0 and _kernel(n, (cs,), (cs,))[1] > 0
 
 
 def _mul_schoolbook(a, b, out=None) -> list:

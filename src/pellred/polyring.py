@@ -293,7 +293,7 @@ class Poly:
             if len(a) == 1:
                 return other._scale(a[0], self.den)
             la, lb = len(a), len(b)
-            bits, j = _kernel(la, lb, (a,), (b,)) if la <= lb else _kernel(lb, la, (a,), (b,))
+            bits, j = _kernel(la if la <= lb else lb, (a,), (b,))
             if bits:
                 out = _kronecker((a,), (b,), bits, j)
             elif a is b:  # p * p, or p * (p / k): the symmetric half only
@@ -517,7 +517,8 @@ def dots(sums) -> list:
     pair packed at one radix, the int products summed, the sum unpacked
     once) or schoolbook products accumulated into one int list.  A batch
     scans each operand for its bit size once, and its binary Kronecker sums
-    share the widest radix, at which each operand is packed once.
+    share the widest radix, at which each operand is packed once; a decimal
+    sum keeps its own.
 
     >>> dots([([X], [X]), ([X, ONE], [X, Poly(-1)])])
     [Poly('x^2'), Poly('x^2-1')]
@@ -526,7 +527,7 @@ def dots(sums) -> list:
     # every operand must stay alive until the last sum is packed.
     batch = [[(x, y) for x, y in zip(xs, ys) if x.num and y.num] for xs, ys in sums]
     out = []
-    tops, binary = {}, []
+    tops, kronecker = {}, []
     for pairs in batch:
         if len(pairs) == 1:
             x, y = pairs[0]
@@ -536,13 +537,9 @@ def dots(sums) -> list:
             out.append(sum((x * y for x, y in pairs), ZERO))
             continue
         xs, ys = [x.num for x, _ in pairs], [y.num for _, y in pairs]
-        short = max(min(len(a), len(b)) for a, b in zip(xs, ys))
-        long = max(max(len(a), len(b)) for a, b in zip(xs, ys))
-        bits, j = _kernel(short, long, xs, ys, tops)
-        if j:
-            out.append(_reduce(_kronecker(xs, ys, bits, j), 1))
-        elif bits:
-            binary.append((len(out), xs, ys, bits))
+        bits, j = _kernel(max(min(len(a), len(b)) for a, b in zip(xs, ys)), xs, ys, tops)
+        if bits:
+            kronecker.append((len(out), xs, ys, bits, j))
             out.append(None)
         else:
             acc = [0] * max(len(a) + len(b) - 1 for a, b in zip(xs, ys))
@@ -552,10 +549,9 @@ def dots(sums) -> list:
                 else:
                     _mul_schoolbook(a, b, acc)
             out.append(_reduce(acc, 1))
-    if binary:
-        bits, packs = max(b for *_, b in binary), {}
-        for i, xs, ys, _ in binary:
-            out[i] = _reduce(_kronecker(xs, ys, bits, 0, packs), 1)
+    widest, packs = max((bits for *_, bits, j in kronecker if not j), default=0), {}
+    for i, xs, ys, bits, j in kronecker:
+        out[i] = _reduce(_kronecker(xs, ys, bits if j else widest, j, packs), 1)
     return out
 
 

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pellred
 from pellred.cli import emit_table, main
 from pellred.pell2 import PellProblem, solve
 from pellred.polyring import Poly
@@ -186,6 +190,37 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("ZeroD: ")
         assert captured.out == ""
+
+
+class TestArgumentFiles:
+    """``@file`` reads the arguments one per line, past the OS limit on one argv string."""
+
+    # Linux's MAX_ARG_STRLEN: no argv string may be longer.
+    ARG_MAX_BYTES = 131_072
+
+    @pytest.mark.parametrize("command, want", [("verify", "true\n"), ("identify", "n = 1\n")])
+    def test_polynomials_past_the_argv_limit(self, command, want, tmp_path):
+        # P = f, Q = 1 solves P^2 - (f^2 - 1) Q^2 = 1 with n = 1.
+        big = "1" + "0" * 140_000 + "x"
+        lines = [f"--P={big}", "--Q=1", f"-f={big}", "-d=-1"]
+        assert len(lines[0]) > self.ARG_MAX_BYTES
+        args = tmp_path / "args.txt"
+        args.write_text("".join(line + "\n" for line in lines))
+        src = str(Path(pellred.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "pellred", command, f"@{args}"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (0, want, "")
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", f"@{tmp_path / 'missing.txt'}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pellred") and "missing.txt" in err
+        assert "Traceback" not in err
 
 
 def _readme_block(heading: str) -> str:

@@ -373,7 +373,7 @@ def kronecker_product(a, b) -> list:
     """a*b by Kronecker substitution at any lengths, at the radix ``_kernel``
     takes for it (a square when b is a)."""
     bits = _kronecker_bits((a,), (b,))
-    return _kronecker((a,), (b,), bits, _decimal_digits(min(len(a), len(b)), max(len(a), len(b)), bits))
+    return _kronecker((a,), (b,), bits, _decimal_digits(min(len(a), len(b)), bits))
 
 
 class TestKronecker:
@@ -568,8 +568,7 @@ def shaped(short, long, bits, seed=0):
 
 def kernel_of(a, b):
     """``_kernel``'s answer for the product a*b."""
-    short, long = sorted((len(a), len(b)))
-    return _kernel(short, long, (a,), (b,))
+    return _kernel(min(len(a), len(b)), (a,), (b,))
 
 
 class Unread:
@@ -633,25 +632,28 @@ class TestKernelChoice:
         assert 10 * 25 < KRONECKER_MIN_WORK <= 10 * 26
         assert 15 * 17 < KRONECKER_MIN_WORK <= 16 * 16
         assert ALWAYS_KRONECKER >= KRONECKER_FLOOR and ALWAYS_KRONECKER**2 >= KRONECKER_MIN_WORK
+        # LOPSIDED's cases straddle the decimal rule's two bounds.
+        assert KRONECKER_DECIMAL_MIN_BITS == 200_000
+        assert least_digits(_DECIMAL_MAX_BITS) == 640 < least_digits(_DECIMAL_MAX_BITS + 1)
 
     def test_below_the_floor_reads_no_coefficient(self):
         # Sweep and high-index make thousands of products with a short
         # operand, and degree-m thousands of sums below the least work: the
         # lengths decide them.  Kronecker reads the coefficients, for its radix.
-        assert _kernel(KRONECKER_FLOOR - 1, 10**6, None, None) == (0, 0)
+        assert _kernel(KRONECKER_FLOOR - 1, None, None) == (0, 0)
         with pytest.raises(TypeError):
-            _kernel(KRONECKER_FLOOR, 10**6, None, None)
+            _kernel(KRONECKER_FLOOR, None, None)
         a, square = Unread(KRONECKER_FLOOR), Unread(15)
-        assert _kernel(KRONECKER_FLOOR, 25, (a,), (Unread(25),)) == (0, 0)
-        assert _kernel(15, 15, (square,), (square,)) == (0, 0)
-        assert _kernel(KRONECKER_FLOOR, 12, (a, a), (Unread(12), Unread(12))) == (0, 0)
+        assert _kernel(KRONECKER_FLOOR, (a,), (Unread(25),)) == (0, 0)
+        assert _kernel(15, (square,), (square,)) == (0, 0)
+        assert _kernel(KRONECKER_FLOOR, (a, a), (Unread(12), Unread(12))) == (0, 0)
         with pytest.raises(AssertionError, match="read"):
-            _kernel(KRONECKER_FLOOR, 26, (a,), (Unread(26),))
+            _kernel(KRONECKER_FLOOR, (a,), (Unread(26),))
 
     @pytest.mark.parametrize("short, long, bits, kronecker", PRODUCT_BAND)
     def test_product_band(self, short, long, bits, kronecker):
         a, b = shaped(short, long, bits)
-        kernel = (bits, _decimal_digits(short, long, bits)) if kronecker else (0, 0)
+        kernel = (bits, _decimal_digits(short, bits)) if kronecker else (0, 0)
         assert kernel_of(a, b) == kernel_of(b, a) == kernel
         want = Poly(_mul_schoolbook(a, b))
         assert Poly(a) * Poly(b) == want and Poly(b) * Poly(a) == want
@@ -659,7 +661,7 @@ class TestKernelChoice:
     @pytest.mark.parametrize("n, _, bits, kronecker", SQUARE_BAND)
     def test_square_band(self, n, _, bits, kronecker):
         a, _ = shaped(n, n, bits)
-        assert _kernel(n, n, (a,), (a,)) == ((_kronecker_bits((a,), (a,)), 0) if kronecker else (0, 0))
+        assert _kernel(n, (a,), (a,)) == ((_kronecker_bits((a,), (a,)), 0) if kronecker else (0, 0))
         p = Poly(a)
         assert p.square() == Poly(_square_schoolbook(a)) == p * Poly(list(a))
 
@@ -668,7 +670,7 @@ class TestKernelChoice:
         a, b = shaped(KRONECKER_FLOOR, 12, 60)
         assert KRONECKER_FLOOR * 12 < KRONECKER_MIN_WORK <= 3 * KRONECKER_FLOOR * 12
         assert kernel_of(a, b) == (0, 0)
-        assert _kernel(KRONECKER_FLOOR, 12, [a] * 3, [b] * 3)[0]
+        assert _kernel(KRONECKER_FLOOR, [a] * 3, [b] * 3)[0]
 
     def test_squares_in_decimal_is_the_balanced_rule(self):
         # For a square the decimal rule is the earlier one: the operand packs
@@ -684,35 +686,43 @@ class TestKernelChoice:
     @pytest.mark.parametrize("cutoff", [KRONECKER_DECIMAL_MIN_BITS, 0, 20_000])
     def test_squares_in_decimal_asks_the_kernel(self, cutoff):
         # Its length test only skips squares that cannot reach the cut-off.
-        assert max(b for b in range(1, 3000) if _decimal_digits(10**6, 10**6, b)) == _DECIMAL_MAX_BITS
+        assert max(b for b in range(1, 3000) if _decimal_digits(10**6, b)) == _DECIMAL_MAX_BITS
         with mock.patch.object(pellred.kernels, "KRONECKER_DECIMAL_MIN_BITS", cutoff):
             for n in (KRONECKER_FLOOR, 15, 16, ALWAYS_KRONECKER, 94, 95, 100):
                 for top in (1, 300, 1060, 1061, 1100):
                     cs = [(1 << top) - 1] * n
-                    assert squares_in_decimal(cs) is (_kernel(n, n, (cs,), (cs,))[1] > 0), (n, top)
+                    assert squares_in_decimal(cs) is (_kernel(n, (cs,), (cs,))[1] > 0), (n, top)
 
-    # (short, long, bits, decimal): each decimal condition just met and just
-    # missed.  2*short*bits and (short + long)*bits against the cut-off.
+    # (short, long, bits, decimal) on both sides of short * bits =
+    # KRONECKER_DECIMAL_MIN_BITS and of j = 640 (bits = _DECIMAL_MAX_BITS).
+    # The longer length plays no part: lopsided products whose shorter side
+    # packs to 100-200 kbit stay binary, however long the other side.
     LOPSIDED = [
-        (100, 300, 1000, True),  # 2*100*1000 = 200 000, 400 * 1000 = 400 000
-        (99, 310, 1000, False),  # shorter side below half the cut-off
-        (100, 299, 1000, False),  # the sum of lengths one short
+        (100, 300, 2000, True),  # 100 * 2000 = 200 000
+        (100, 300, 1999, False),
+        (99, 2000, 2020, False),  # 199 980 bits, with a 4 Mbit longer side
+        (100, 300, 1000, False),  # a 100 kbit shorter side
+        (99, 310, 1000, False),
+        (100, 299, 1000, False),
+        (40, 400, 2119, False),
+        (48, 400, 2117, False),  # a 102 kbit shorter side, j = 639
         (150, 150, 1334, True),  # a balanced shape: 150 * 1334 >= 200 000
         (150, 150, 1333, False),
-        (40, 400, 2119, False),  # short * bits below half
-        (48, 400, 2117, True),  # j = 639
-        (48, 400, 2124, False),  # j = 641
+        (95, 400, 2122, True),  # j = 640
+        (95, 400, 2123, False),  # j = 641
+        (48, 400, 2124, False),
+        (95, 95, 2122, True),
+        (95, 95, 2123, False),
     ]
 
     @pytest.mark.parametrize("short, long, bits, decimal", LOPSIDED)
     def test_lopsided_decimal(self, short, long, bits, decimal):
         a, b = shaped(short, long, bits, seed=short + long)
-        bits_, j = kernel_of(a, b)
-        assert bits_ == bits and bool(j) is decimal
+        assert kernel_of(a, b) == kernel_of(b, a) == (bits, least_digits(bits) if decimal else 0)
         want = Poly(_mul_schoolbook(a, b))
         with mock.patch.object(pellred.kernels, "_kronecker_decimal", wraps=_kronecker_decimal) as spy:
-            assert Poly(a) * Poly(b) == want
-        assert spy.call_count == decimal
+            assert Poly(a) * Poly(b) == want and Poly(b) * Poly(a) == want
+        assert spy.call_count == 2 * decimal
 
 
 def reference_dot(xs, ys) -> Poly:
@@ -838,8 +848,7 @@ def lone_kernel(xs, ys):
     if len(pairs) < 2 or any(not (x.is_integral() and y.is_integral()) for x, y in zip(xs, ys)):
         return None
     short = max(min(len(a), len(b)) for a, b in pairs)
-    long = max(max(len(a), len(b)) for a, b in pairs)
-    return _kernel(short, long, [a for a, _ in pairs], [b for _, b in pairs])
+    return _kernel(short, [a for a, _ in pairs], [b for _, b in pairs])
 
 
 class TestDots:
@@ -904,9 +913,9 @@ class TestDots:
         sums += [([x, x], [x, y]) for x in pool for y in pool]
         taken = {}
 
-        def ask(short, long, xs, ys, tops=None):
-            kernel = _kernel(short, long, xs, ys, tops)
-            assert kernel == _kernel(short, long, xs, ys)  # the batch's scans change nothing
+        def ask(short, xs, ys, tops=None):
+            kernel = _kernel(short, xs, ys, tops)
+            assert kernel == _kernel(short, xs, ys)  # the batch's scans change nothing
             return kernel
 
         def record(xs, ys, bits, j, packs=None):
