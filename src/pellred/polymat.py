@@ -9,6 +9,15 @@ so that operands they share are scanned and packed once: all entries of a
 product, all cross terms of a Bareiss step, a Berkowitz stage's dots and its
 Toeplitz sums.  A cofactor expansion and each Berkowitz border term are one
 ``polyring.dot``.
+
+A product of two R-twisted circulants with the same R is the circulant of
+one batch, the first factor's rows against the second's first column: m^2
+products, and m - 1 more by R to build it, where the generic batch takes
+m^3.  These circulants are the matrices of multiplication in
+Z[x][y]/(y^m - R), a commutative algebra (P. J. Davis, *Circulant
+Matrices*, 1979), so a product among them is fixed by its first column.
+``build_circulant`` records R in the private ``_twist`` slot; every other
+matrix has ``None`` there and multiplies by the generic batch.
 """
 
 from __future__ import annotations
@@ -25,13 +34,14 @@ class DimensionMismatch(DomainError):
 class PolyMatrix:
     """An immutable square matrix of polynomials."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_twist")
 
     def __init__(self, rows):
         mat = tuple(tuple(Poly(v) for v in row) for row in rows)
         if not mat or any(len(r) != len(mat) for r in mat):
             raise DimensionMismatch("matrix must be square and non-empty")
         self.rows = mat
+        self._twist = None
 
     @classmethod
     def identity(cls, dim: int) -> PolyMatrix:
@@ -64,6 +74,9 @@ class PolyMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise DimensionMismatch(f"cannot multiply {self.dim}x{self.dim} by {other.dim}x{other.dim}")
+        twist = self._twist
+        if twist is not None and twist == other._twist:
+            return build_circulant(dots([(row, other.column(0)) for row in self.rows]), twist)
         n, cols = self.dim, list(zip(*other.rows))
         entries = dots([(row, col) for row in self.rows for col in cols])
         return PolyMatrix([entries[i : i + n] for i in range(0, n * n, n)])
@@ -158,6 +171,8 @@ def build_circulant(sols, R) -> PolyMatrix:
 
     Entry (i, j) is sols[(i - j) mod m], multiplied by R above the diagonal.
     Its determinant is the degree-m Pell form; for m = 2 it is P^2 - R*Q^2.
+    The matrix keeps R, so that its products with circulants of the same R
+    take the first-column path of ``PolyMatrix.__matmul__``.
     """
     sols = [Poly(s) for s in sols]
     R = Poly(R)
@@ -166,9 +181,11 @@ def build_circulant(sols, R) -> PolyMatrix:
         raise DimensionMismatch("a circulant needs at least two components")
     # Above the diagonal (i - j) mod m runs over 1..m-1 only.
     twisted = {k: sols[k] * R for k in range(1, m)}
-    return PolyMatrix(
+    mat = PolyMatrix(
         [
             [sols[(i - j) % m] if j <= i else twisted[(i - j) % m] for j in range(m)]
             for i in range(m)
         ]
     )
+    mat._twist = R
+    return mat

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pellred.polymat
 from pellred.polymat import DimensionMismatch, PolyMatrix, build_circulant
-from pellred.polyring import ONE, Poly, ZERO
+from pellred.polyring import ONE, Poly, ZERO, dots
 from pellred.redei import step_matrix
 
 Z = Poly("x^2+1")
@@ -166,6 +168,82 @@ class TestCirculant:
     def test_needs_two_components(self):
         with pytest.raises(DimensionMismatch):
             build_circulant([ONE], ONE)
+
+
+# Circulant components: int or Fraction coefficients, zero now and then;
+# twists that are zero, a constant or a polynomial.
+components = st.one_of(st.just(ZERO), entries, fraction_entries)
+twists = st.one_of(
+    st.just(ZERO),
+    st.integers(-6, 6).filter(bool).map(Poly),
+    st.lists(st.integers(-6, 6), min_size=2, max_size=4).map(Poly),
+)
+
+
+@st.composite
+def circulants(draw, count=2):
+    """``count`` component lists of one length m in 2..6 and two twists."""
+    m = draw(st.integers(2, 6))
+    cols = [draw(st.lists(components, min_size=m, max_size=m)) for _ in range(count)]
+    return cols, draw(twists), draw(twists)
+
+
+def generic(mat):
+    """The same entries with no twist: every product by the generic batch."""
+    return PolyMatrix(mat.rows)
+
+
+class TestCirculantProduct:
+    """Products of twisted circulants through the first column, against the
+    generic m x m batch of the same entries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(circulants())
+    def test_same_twist(self, case):
+        (a, b), R, _ = case
+        A, B = build_circulant(a, R), build_circulant(b, R)
+        got = A @ B
+        assert got == generic(A) @ generic(B) == B @ A
+        assert got == build_circulant(got.column(0), R) and got._twist == R
+
+    @settings(max_examples=40, deadline=None)
+    @given(circulants())
+    def test_other_twist_or_plain_operand_is_generic(self, case):
+        (a, b), R, S = case
+        A, B = build_circulant(a, R), build_circulant(b, S)
+        assert A @ B == generic(A) @ generic(B)
+        assert A @ generic(B) == generic(A) @ B == generic(A) @ generic(B)
+        if R != S:
+            assert (A @ B)._twist is None
+
+    def test_different_twists_are_not_a_circulant(self):
+        # The first column alone would give the wrong product here.
+        A = build_circulant([Poly("x"), ONE, ZERO], Poly(2))
+        B = build_circulant([ONE, Poly("x"), ONE], Poly(3))
+        got = A @ B
+        assert got == generic(A) @ generic(B)
+        assert got != build_circulant(got.column(0), Poly(2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(circulants(count=1))
+    def test_powers(self, case):
+        (a,), R, _ = case
+        A = build_circulant(a, R)
+        for n in range(13):
+            assert A.pow(n) == generic(A).pow(n)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_one_batch_of_m_sums_of_m_pairs(self, m):
+        # Two step matrices multiply as one dots batch of A's rows against
+        # B's first column; the generic path would make m^2 sums.
+        S, T = step_matrix(Poly("x^2+1"), Poly("x^3-2"), m), step_matrix(Poly("3x"), Poly("x^3-2"), m)
+        with mock.patch.object(pellred.polymat, "dots", wraps=dots) as spy:
+            got = S @ T
+        assert spy.call_count == 1
+        (sums,), _ = spy.call_args
+        assert len(sums) == m and all(len(xs) == len(ys) == m for xs, ys in sums)
+        assert all(ys == T.column(0) for _, ys in sums)
+        assert got == generic(S) @ generic(T)
 
 
 class TestCharPoly:
