@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .polyring import DomainError, ParseError, Poly, decimal_str, parse_poly
+from .polyring import DomainError, ParseError, Poly, decimal_int, decimal_str, parse_poly
 from .redei import redei_recurrence, redei_sequence
 from .pell2 import PellProblem, classify, identify_solution, solve, verify
 from .pellm import classify_m, divisibility_probe, solve_m
@@ -39,43 +39,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("redei", _cmd_redei, "one Redei pair (N_n, D_n)")
     poly_args(p, "--alpha", "--z")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=decimal_int, required=True)
 
     p = command("table", _cmd_table, "rows n = 1..n_max of (N_n, D_n)")
     poly_args(p, "--alpha", "--z")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=decimal_int, required=True)
 
     p = command("solve", _cmd_solve, "normalized solution of P^2-(f^2+d)Q^2=1")
     poly_args(p, "-f")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-d", type=decimal_int, required=True)
+    p.add_argument("-n", type=decimal_int, required=True)
 
     p = command("solve-m", _cmd_solve_m, "normalized degree-m solution for R=(-f)^m+r")
     poly_args(p, "-f")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-r", type=decimal_int, required=True)
+    p.add_argument("-m", type=decimal_int, required=True)
+    p.add_argument("-n", type=decimal_int, required=True)
 
     p = command("verify", _cmd_verify, "check P^2 - D*Q^2 == 1 exactly")
     poly_args(p, "--P", "--Q")
     p.add_argument("--D", metavar="POLY")
     p.add_argument("-f", metavar="POLY")
-    p.add_argument("-d", type=int)
+    p.add_argument("-d", type=decimal_int)
 
     p = command("identify", _cmd_identify, "match an integer solution to its index n")
     poly_args(p, "--P", "--Q", "-f")
-    p.add_argument("-d", type=int, required=True)
+    p.add_argument("-d", type=decimal_int, required=True)
 
     p = command("classify", _cmd_classify, "integrality class of d, or the degree-m case")
-    p.add_argument("-d", type=int)
-    p.add_argument("-r", type=int)
-    p.add_argument("-m", type=int)
-    p.add_argument("-n", type=int)
+    p.add_argument("-d", type=decimal_int)
+    p.add_argument("-r", type=decimal_int)
+    p.add_argument("-m", type=decimal_int)
+    p.add_argument("-n", type=decimal_int)
 
     p = command("probe", _cmd_probe, "divisibility scan for r = +-m, prime m")
     poly_args(p, "-f")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("-m", type=decimal_int, required=True)
+    p.add_argument("--n-max", type=decimal_int, required=True)
 
     return parser
 
@@ -99,8 +99,16 @@ def _bool_text(flag: bool) -> str:
 
 
 def _emit(args, data: dict, *lines: str) -> int:
-    """Print ``data`` as one JSON line under --json, else the text lines."""
-    print(json.dumps(data) if args.json else "\n".join(lines))
+    """Print ``data`` as one JSON line under --json, else the text lines.
+
+    The line is ``json.dumps(data)``, except that an int value is written by
+    ``decimal_str``: ``json`` stops at the interpreter's int-to-str digit limit.
+    """
+    if args.json:
+        fields = (f"{json.dumps(k)}: {decimal_str(v) if type(v) is int else json.dumps(v)}"
+                  for k, v in data.items())
+        lines = ("{" + ", ".join(fields) + "}",)
+    print("\n".join(lines))
     return 0
 
 
@@ -170,16 +178,15 @@ def _cmd_identify(args, error) -> int:
 
 
 def _cmd_classify(args, error) -> int:
-    if args.m is not None:
-        if args.r is None or args.n is None:
-            error("degree-m classification needs -r, -m and -n")
-        flag = classify_m(args.r, args.m, args.n)
+    degree_m = (args.r, args.m, args.n)
+    if args.d is not None and degree_m == (None, None, None):
+        tag = classify(args.d).tag
+        return _emit(args, {"d": args.d, "class": tag}, tag)
+    if args.d is None and None not in degree_m:
+        flag = classify_m(*degree_m)
         data = {"r": args.r, "m": args.m, "n": args.n, "integral_case": flag}
         return _emit(args, data, _bool_text(flag))
-    if args.d is None:
-        error("classify needs -d, or the tuple -r -m -n")
-    tag = classify(args.d).tag
-    return _emit(args, {"d": args.d, "class": tag}, tag)
+    error("classify needs -d, or the tuple -r -m -n")
 
 
 def _cmd_probe(args, error) -> int:

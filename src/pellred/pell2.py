@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernels import kronecker_pack, squares_in_decimal
-from .polyring import DomainError, ONE, Poly, X, ZERO, common_denominator
+from .polyring import DomainError, ONE, Poly, X, ZERO, common_denominator, decimal_str
 from .polymat import build_circulant
 from .redei import RedeiPair, check_degree_index, norm_power, redei_recurrence, redei_sequence
 from .pellm import IrrationalNormalizer, ZeroR, classify_m
@@ -106,7 +106,9 @@ def solve(problem: PellProblem, n: int) -> PellSolution:
     """
     scale = norm_power(-problem.d, 2, n)
     if scale is None:
-        raise OddIndexUndefined(f"(-d)^(n/2) is irrational for d={problem.d}, n={n}")
+        raise OddIndexUndefined(
+            f"(-d)^(n/2) is irrational for d={decimal_str(problem.d)}, n={decimal_str(n)}"
+        )
     return _finish(redei_recurrence(problem.D, problem.f, n), scale)
 
 

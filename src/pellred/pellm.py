@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .polyring import DomainError, Poly, common_denominator
+from .polyring import DomainError, Poly, common_denominator, decimal_str
 from .polymat import build_circulant
 from .redei import (  # the engine; its names stay importable from here
     GenRedeiVec,
@@ -63,7 +63,8 @@ def solve_m(f, r: int, m: int, n: int) -> PellMSolution:
     scale = norm_power(base, m, n)
     if scale is None:
         raise IrrationalNormalizer(
-            f"{base}^({n}/{m}) is not rational; need n = 0 (mod {m}) or an exact root"
+            f"{decimal_str(base)}^({decimal_str(n)}/{m}) is not rational; "
+            f"need n = 0 (mod {m}) or an exact root"
         )
     f = Poly(f)
     alpha = (-f) ** m + r

@@ -20,6 +20,7 @@ operand it shares between sums once.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -58,7 +59,7 @@ def decimal_str(c: int) -> str:
     return str(Decimal(c))
 
 
-def _decimal_int(text) -> int:
+def decimal_int(text) -> int:
     """The int written as decimal text, of any size.
 
     Only the form ``decimal_str`` writes is read: ASCII digits after an
@@ -474,10 +475,10 @@ class Poly:
         coeffs, den = data.get("coeffs"), data.get("den")
         if not isinstance(coeffs, list) or not isinstance(den, (list, type(None))):
             raise ValueError("coeffs and den must be lists of integer texts")
-        nums = [_decimal_int(s) for s in coeffs]
+        nums = [decimal_int(s) for s in coeffs]
         if den is None:
             return cls(nums)
-        dens = [_decimal_int(s) for s in den]
+        dens = [decimal_int(s) for s in den]
         if any(b < 1 for b in dens):
             raise ValueError(f"denominators must be positive integers, got {data['den']!r}")
         return cls([Fraction(a, b) for a, b in zip(nums, dens, strict=True)])
@@ -588,6 +589,29 @@ def format_poly(p: Poly) -> str:
 MAX_PARSE_DEGREE = 10**5
 
 
+#: One term and the blanks around it: an optional "-", a coefficient digit
+#: run, then "x" with an optional "^" and exponent digit run.  Every part is
+#: optional, so it matches at every position and ``parse_poly`` checks the
+#: groups.  Only ASCII digits match; ``_digits`` refuses the other digits.
+_TERM = re.compile(
+    r"[ \t]*(?P<minus>-?)[ \t]*(?P<coeff>[0-9]*)(?P<x>x(\^(?P<expo>[0-9]*))?)?[ \t]*"
+)
+
+
+def _digits(text: str, start: int, end: int, missing: str) -> int | None:
+    """The int of the ASCII digit run ``text[start:end]``, of any size.
+
+    A run followed by a digit that ``[0-9]`` does not match ("²", "٣", "１")
+    is a malformed number.  An empty run raises ``missing``, or is None when
+    ``missing`` is "".
+    """
+    if text[end:end + 1].isdigit():
+        raise ParseError("malformed number", start)
+    if start == end and missing:
+        raise ParseError(missing, start)
+    return decimal_int(text[start:end]) if start < end else None
+
+
 def parse_poly(text: str) -> Poly:
     """Parse the CLI polynomial grammar into an integer polynomial.
 
@@ -603,67 +627,26 @@ def parse_poly(text: str) -> Poly:
         ...
     pellred.polyring.ParseError: expected exponent digits (at position 2)
     """
+    if not text.strip(" \t"):
+        raise ParseError("empty polynomial", len(text))
     coeffs: dict[int, int] = {}
-    i, end = 0, len(text)
-
-    def skip_ws():
-        nonlocal i
-        while i < end and text[i] in " \t":
-            i += 1
-
-    def read_uint() -> int | None:
-        nonlocal i
-        start = i
-        while i < end and text[i].isdigit():
-            i += 1
-        if i == start:
-            return None
-        try:  # ASCII digits of any length, as format_poly writes them
-            return _decimal_int(text[start:i])
-        except ValueError:  # a digit such as '²' or '٣'
-            raise ParseError("malformed number", start) from None
-
-    def read_term(sign: int):
-        nonlocal i
-        skip_ws()
-        if i < end and text[i] == "-":
-            sign = -sign
-            i += 1
-            skip_ws()
-        coeff = read_uint()
-        expo = 0
-        if i < end and text[i] == "x":
-            i += 1
-            expo = 1
-            if i < end and text[i] == "^":
-                i += 1
-                start = i
-                e = read_uint()
-                if e is None:
-                    raise ParseError("expected exponent digits", i)
-                if e > MAX_PARSE_DEGREE:
-                    raise ParseError(f"exponent above the maximum degree {MAX_PARSE_DEGREE}", start)
-                expo = e
-        elif coeff is None:
-            raise ParseError("expected a coefficient or 'x'", i)
-        value = 1 if coeff is None else coeff
-        coeffs[expo] = coeffs.get(expo, 0) + sign * value
-
-    skip_ws()
-    if i == end:
-        raise ParseError("empty polynomial", i)
-    read_term(+1)
-    skip_ws()
-    while i < end:
-        ch = text[i]
-        if ch == "+":
-            sign = +1
-        elif ch == "-":
-            sign = -1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
+    sep, i = "+", 0
+    while sep:
+        term = _TERM.match(text, i)
+        missing = "" if term["x"] else "expected a coefficient or 'x'"
+        coeff = _digits(text, *term.span("coeff"), missing)
+        expo = 1 if term["x"] else 0
+        if term["expo"] is not None:
+            expo = _digits(text, *term.span("expo"), "expected exponent digits")
+            if expo > MAX_PARSE_DEGREE:
+                raise ParseError(
+                    f"exponent above the maximum degree {MAX_PARSE_DEGREE}", term.start("expo")
+                )
+        sign = -1 if (sep == "-") != bool(term["minus"]) else 1
+        coeffs[expo] = coeffs.get(expo, 0) + sign * (1 if coeff is None else coeff)
+        i = term.end()
+        sep = text[i:i + 1]
+        if sep not in ("", "+", "-"):
+            raise ParseError(f"unexpected character {sep!r}", i)
         i += 1
-        read_term(sign)
-        skip_ws()
-    size = max(coeffs) + 1 if coeffs else 0
-    return _reduce([coeffs.get(k, 0) for k in range(size)], 1)
+    return _reduce([coeffs.get(k, 0) for k in range(max(coeffs) + 1)], 1)

@@ -9,7 +9,8 @@ m = 2 it is the classical pair
 so a pair is a ``GenRedeiVec`` with m = 2, read through its ``N`` and ``D``
 (``RedeiPair`` names the same class).  Three genuinely independent
 constructions are provided so they can check one another: the componentwise
-step rule (production path), powers of the m x m step matrix (first column),
+step rule (the chain behind every m = 2 pair and ``divisibility_probe``),
+powers of the m x m step matrix (first column; ``solve_m`` takes this one),
 and the binomial expansion (designated oracle).  All of them satisfy the norm
 identity: the alpha-twisted circulant of the vector has determinant
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .polyring import DomainError, ONE, Poly, ZERO
+from .polyring import DomainError, ONE, Poly, ZERO, decimal_str
 from .polymat import PolyMatrix, build_circulant
 
 
@@ -40,7 +41,9 @@ def check_degree_index(m: int, n: int) -> None:
     """Raise InvalidIndex unless 2 <= m <= MAX_M and n >= 0.  Every degree-m
     entry point calls this first, before any m x m work or primality test."""
     if not 2 <= m <= MAX_M or n < 0:
-        raise InvalidIndex(f"need 2 <= m <= {MAX_M} and n >= 0, got m={m}, n={n}")
+        raise InvalidIndex(
+            f"need 2 <= m <= {MAX_M} and n >= 0, got m={decimal_str(m)}, n={decimal_str(n)}"
+        )
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,28 @@ class TestExitCodes:
             assert exc.value.code == 2
             assert "verify needs either --D, or -f together with -d" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["-d", "3", "-r", "1", "-m", "2", "-n", "2"], ["-d", "3", "-n", "2"], ["-d", "5", "-r", "-1"]],
+    )
+    def test_classify_takes_one_form(self, extra, capsys):
+        # -d with any of -r -m -n would answer one form and drop the other.
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", *extra])
+        assert exc.value.code == 2
+        assert "classify needs -d, or the tuple -r -m -n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["+2", "1_0", "\u0663", " 2", "2 ", "-", "--2"])
+    def test_integer_flags_take_ascii_digits_only(self, value, capsys):
+        # The form decimal_str prints, as in polynomial coefficients; int()
+        # would read all but the last two.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "-f", "x", f"-d={value}", "-n", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument -d: invalid decimal_int value: {value!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["verify", "identify"])
     def test_zero_d_with_f_is_one(self, command, capsys):
         # -f with -d means D = f^2 + d, which is defined for d != 0 only.
@@ -279,7 +301,8 @@ class TestBigIntegers:
         return solve(PellProblem(Poly("x"), BIG_D), 4)
 
     REDEI = ["redei", "--alpha", "x+1", "--z", "99999999999999999999", "-n", "600"]
-    SOLVE = ["solve", "-f", "x", f"-d={BIG_D}", "-n", "4"]
+    SOLVE = ["solve", "-f", "x", "-d=-1" + "0" * 2200, "-n", "4"]
+    DIGITS = "1" * 5000
 
     def test_fixtures_exceed_the_limit(self, big_pair, big_solution):
         assert max(abs(c) for c in big_pair.N.coeffs) > 10**4300
@@ -311,6 +334,41 @@ class TestBigIntegers:
         assert _from_json(data["P"]) == big_solution.P
         assert _from_json(data["Q"]) == big_solution.Q
         assert _big_int(data["normalizer"]) == big_solution.normalizer
+
+    def test_integer_flag_past_the_limit(self, capsys):
+        # -d is read as polynomial coefficients are, past int()'s digit limit.
+        d = -_big_int(self.DIGITS)
+        assert main(["solve", "-f", "x", f"-d=-{self.DIGITS}", "-n", "2"]) == 0
+        fields = _text_fields(capsys.readouterr().out)
+        want = solve(PellProblem(Poly("x"), d), 2)
+        assert _read_poly(fields["P"]) == want.P
+        assert _read_poly(fields["Q"]) == want.Q
+        assert _big_int(fields["normalizer"]) == want.normalizer == -d
+
+    def test_classify_json_echoes_any_size(self, capsys):
+        big = self.DIGITS
+        assert main(["classify", f"-d={big}", "--json"]) == 0
+        assert capsys.readouterr().out == f'{{"d": {big}, "class": "NONE"}}\n'
+        assert main(["classify", f"-r={big}", "-m=3", f"-n={big}", "--json"]) == 0
+        want = f'{{"r": {big}, "m": 3, "n": {big}, "integral_case": false}}\n'
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["solve", "-f", "x", "-d={}", "-n", "1"], "OddIndexUndefined"),
+            (["solve", "-f", "x", "-d", "2", "-n={}"], "OddIndexUndefined"),
+            (["solve-m", "-f", "x", "-r={}", "-m", "3", "-n", "1"], "IrrationalNormalizer"),
+            (["solve-m", "-f", "x", "-r", "1", "-m={}", "-n", "3"], "InvalidIndex"),
+            (["redei", "--alpha", "x", "--z", "1", "-n=-{}"], "InvalidIndex"),
+            (["classify", "-r", "1", "-m", "3", "-n=-{}"], "InvalidIndex"),
+            (["probe", "-f", "x", "-m={}", "--n-max", "2"], "InvalidIndex"),
+        ],
+    )
+    def test_domain_errors_name_values_of_any_size(self, argv, name, capsys):
+        assert main([a.format(self.DIGITS) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{name}: ") and self.DIGITS in err
 
 
 # -- fuzzing main() with random argv --------------------------------------------

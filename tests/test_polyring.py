@@ -245,6 +245,35 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_poly(bad)
 
+    @pytest.mark.parametrize(
+        "bad, message, position",
+        [
+            ("", "empty polynomial", 0),
+            (" \t", "empty polynomial", 2),
+            ("+x", "expected a coefficient or 'x'", 0),
+            ("x+", "expected a coefficient or 'x'", 2),
+            ("--x", "expected a coefficient or 'x'", 1),
+            ("x+ +1", "expected a coefficient or 'x'", 3),
+            ("2 x", "unexpected character 'x'", 2),
+            ("x2", "unexpected character '2'", 1),
+            ("3y", "unexpected character 'y'", 1),
+            ("x^ 2", "expected exponent digits", 2),
+            ("x^^2", "expected exponent digits", 2),
+            ("2x^", "expected exponent digits", 3),
+            ("²", "malformed number", 0),
+            ("1²", "malformed number", 0),
+            ("x^²", "malformed number", 2),
+            ("٣x", "malformed number", 0),
+            ("x+１", "malformed number", 2),
+            ("x^100001", "exponent above the maximum degree 100000", 2),
+        ],
+    )
+    def test_parse_error_message_and_position(self, bad, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(bad)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
     def test_format_examples(self):
         assert str(Poly([0, 0, -3, 0, 0, 0, 4])) == "4x^6-3x^2"
         assert str(Poly([-1, 0, 0, 0, -1])) == "-x^4-1"
