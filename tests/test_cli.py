@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import pellred
 from pellred.cli import emit_table, main
 from pellred.pell2 import PellProblem, solve
+from pellred.pellm import DivisibilityReport
 from pellred.polyring import Poly
 from pellred.redei import redei_recurrence
 
@@ -212,6 +213,169 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("ZeroD: ")
         assert captured.out == ""
+
+
+# -- every output byte of every subcommand --------------------------------------
+
+
+def _run_cli(argv):
+    """(exit code, stdout, stderr) of one main() call, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+_USAGE = (
+    "usage: pellred [-h]\n"
+    "               {redei,table,solve,solve-m,verify,identify,classify,probe} ...\n"
+)
+# 2001 digits: a denominator and a normalizer that print in full.
+_BIG_DEN = "5" + "0" * 1999
+_BIG_NORM = "1" + "0" * 2000
+
+# (argv, exit code, stdout, stdout with --json, stderr): each argv runs as
+# text and with --json, and both runs write the same stderr.
+GOLDEN = [
+    ("redei --alpha x^4-1 --z x^2 -n 3", 0, "N = 4x^6-3x^2\nD = 4x^4-1\n",
+     '{"n": 3, "N": {"coeffs": ["0", "0", "-3", "0", "0", "0", "4"]},'
+     ' "D": {"coeffs": ["-1", "0", "0", "0", "4"]}}\n', ""),
+    ("redei --alpha=-x --z 2 -n 0", 0, "N = 1\nD = 0\n",
+     '{"n": 0, "N": {"coeffs": ["1"]}, "D": {"coeffs": []}}\n', ""),
+    ("table --alpha x^2+3 --z x --n-max 3", 0,
+     "n\tN\tD\n1\tx\t1\n2\t2x^2+3\t2x\n3\t4x^3+9x\t4x^2+3\n",
+     '{"n": 1, "N": {"coeffs": ["0", "1"]}, "D": {"coeffs": ["1"]}}\n'
+     '{"n": 2, "N": {"coeffs": ["3", "0", "2"]}, "D": {"coeffs": ["0", "2"]}}\n'
+     '{"n": 3, "N": {"coeffs": ["0", "9", "0", "4"]}, "D": {"coeffs": ["3", "0", "4"]}}\n', ""),
+    ("table --alpha x --z 1 --n-max 0", 0, "n\tN\tD\n", "", ""),
+    ("solve -f x^2 -d 2 -n 4", 0,
+     "P = 2x^8+4x^4+1\nQ = 2x^6+2x^2\nintegral = true\nnormalizer = 4\n",
+     '{"n": 4, "P": {"coeffs": ["1", "0", "0", "0", "4", "0", "0", "0", "2"]},'
+     ' "Q": {"coeffs": ["0", "0", "2", "0", "0", "0", "2"]}, "integral": true, "normalizer": "4"}\n',
+     ""),
+    ("solve -f x -d 3 -n 2", 0, "P = -2/3x^2-1\nQ = -2/3x\nintegral = false\nnormalizer = -3\n",
+     '{"n": 2, "P": {"coeffs": ["-1", "0", "-2"], "den": ["1", "1", "3"]},'
+     ' "Q": {"coeffs": ["0", "-2"], "den": ["1", "3"]}, "integral": false, "normalizer": "-3"}\n',
+     ""),
+    ("solve -f x -d -1 -n 0", 0, "P = 1\nQ = 0\nintegral = true\nnormalizer = 1\n",
+     '{"n": 0, "P": {"coeffs": ["1"]}, "Q": {"coeffs": []}, "integral": true, "normalizer": "1"}\n',
+     ""),
+    ("solve -f x -d=-1" + "0" * 2000 + " -n 2", 0,
+     f"P = 1/{_BIG_DEN}x^2-1\nQ = 1/{_BIG_DEN}x\nintegral = false\nnormalizer = {_BIG_NORM}\n",
+     f'{{"n": 2, "P": {{"coeffs": ["-1", "0", "1"], "den": ["1", "1", "{_BIG_DEN}"]}},'
+     f' "Q": {{"coeffs": ["0", "1"], "den": ["1", "{_BIG_DEN}"]}}, "integral": false,'
+     f' "normalizer": "{_BIG_NORM}"}}\n', ""),
+    ("solve-m -f x -r -3 -m 3 -n 3", 0,
+     "R = -x^3-3\nP1 = 1\nP2 = -x^2\nP3 = -x\nintegral = true\nnormalizer = -3\n",
+     '{"m": 3, "n": 3, "R": {"coeffs": ["-3", "0", "0", "-1"]}, "sols": [{"coeffs": ["1"]},'
+     ' {"coeffs": ["0", "0", "-1"]}, {"coeffs": ["0", "-1"]}], "integral": true, "normalizer": "-3"}\n',
+     ""),
+    ("solve-m -f x -r -2 -m 3 -n 3", 0,
+     "R = -x^3-2\nP1 = 1\nP2 = -3/2x^2\nP3 = -3/2x\nintegral = false\nnormalizer = -2\n",
+     '{"m": 3, "n": 3, "R": {"coeffs": ["-2", "0", "0", "-1"]}, "sols": [{"coeffs": ["1"]},'
+     ' {"coeffs": ["0", "0", "-3"], "den": ["1", "1", "2"]}, {"coeffs": ["0", "-3"], "den": ["1", "2"]}],'
+     ' "integral": false, "normalizer": "-2"}\n', ""),
+    ("verify --P 2x^4-1 --Q 2x^2 --D x^4-1", 0, "true\n", '{"verified": true}\n', ""),
+    ("verify --P 2x^4-1 --Q 2x^2 --D x^4+1", 0, "false\n", '{"verified": false}\n', ""),
+    ("verify --P=-x^4-1 --Q=-x^2 -f x^2 -d 2", 0, "true\n", '{"verified": true}\n', ""),
+    ("identify --P 8x^8-8x^4+1 --Q 8x^6-4x^2 -f x^2 -d -1", 0, "n = 4\n", '{"n": 4}\n', ""),
+    ("identify --P 3 --Q 2 -f 1 -d 1", 0, "unidentified\n", '{"n": null}\n', ""),
+    ("classify -d 3", 0, "NONE\n", '{"d": 3, "class": "NONE"}\n', ""),
+    ("classify -d -1", 0, "ALL_N\n", '{"d": -1, "class": "ALL_N"}\n', ""),
+    ("classify -d=-1" + "0" * 2000, 0, "NONE\n", f'{{"d": -{_BIG_NORM}, "class": "NONE"}}\n', ""),
+    ("classify -r 3 -m 3 -n 6", 0, "true\n", '{"r": 3, "m": 3, "n": 6, "integral_case": true}\n', ""),
+    ("classify -r 2 -m 3 -n 3", 0, "false\n", '{"r": 2, "m": 3, "n": 3, "integral_case": false}\n', ""),
+    ("probe -f x -m 3 --n-max 12", 0, "m = 3\nf = x\nn_max = 12\nresult = ok\n",
+     '{"m": 3, "f": {"coeffs": ["0", "1"]}, "n_max": 12, "ok": true, "violation": null}\n', ""),
+    ("solve -f x -d 3 -n 3", 1, "", "", "OddIndexUndefined: (-d)^(n/2) is irrational for d=3, n=3\n"),
+    ("classify -d 0", 1, "", "", "ZeroD: d must be a nonzero integer\n"),
+    ("probe -f x -m 4 --n-max 6", 1, "", "", "NotPrime: m=4 is not prime\n"),
+    ("identify --P 2 --Q 1 -f x -d 1", 1, "", "", "NotASolution: P^2 - (f^2+d)*Q^2 != 1\n"),
+    ("solve-m -f x -r 1 -m 1 -n 1", 1, "", "",
+     "InvalidIndex: need 2 <= m <= 64 and n >= 0, got m=1, n=1\n"),
+    ("redei --alpha x^^2 --z x -n 2", 2, "", "", "ParseError: expected exponent digits (at position 2)\n"),
+    ("redei --alpha x", 2, "", "",
+     "usage: pellred redei [-h] [--json] --alpha POLY --z POLY -n N\n"
+     "pellred redei: error: the following arguments are required: --z, -n\n"),
+    ("solve -f x -d=+2 -n 2", 2, "", "",
+     "usage: pellred solve [-h] [--json] -f POLY -d D -n N\n"
+     "pellred solve: error: argument -d: invalid decimal_int value: '+2'\n"),
+    ("verify --P 1 --Q 0", 2, "", "",
+     _USAGE + "pellred: error: verify needs either --D, or -f together with -d\n"),
+    ("classify -d 3 -n 2", 2, "", "",
+     _USAGE + "pellred: error: classify needs -d, or the tuple -r -m -n\n"),
+]
+
+_OPTIONS = "options:\n  -h, --help{}show this help message and exit\n  --json\n"
+HELP = {
+    "": _USAGE + """
+Exact polynomial Pell equation toolkit built on Redei polynomials.
+
+positional arguments:
+  {redei,table,solve,solve-m,verify,identify,classify,probe}
+    redei               one Redei pair (N_n, D_n)
+    table               rows n = 1..n_max of (N_n, D_n)
+    solve               normalized solution of P^2-(f^2+d)Q^2=1
+    solve-m             normalized degree-m solution for R=(-f)^m+r
+    verify              check P^2 - D*Q^2 == 1 exactly
+    identify            match an integer solution to its index n
+    classify            integrality class of d, or the degree-m case
+    probe               divisibility scan for r = +-m, prime m
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "redei": "usage: pellred redei [-h] [--json] --alpha POLY --z POLY -n N\n\n"
+    + _OPTIONS.format(" " * 4) + "  --alpha POLY\n  --z POLY\n  -n N\n",
+    "table": "usage: pellred table [-h] [--json] --alpha POLY --z POLY --n-max N_MAX\n\n"
+    + _OPTIONS.format(" " * 5) + "  --alpha POLY\n  --z POLY\n  --n-max N_MAX\n",
+    "solve": "usage: pellred solve [-h] [--json] -f POLY -d D -n N\n\n"
+    + _OPTIONS.format("  ") + "  -f POLY\n  -d D\n  -n N\n",
+    "solve-m": "usage: pellred solve-m [-h] [--json] -f POLY -r R -m M -n N\n\n"
+    + _OPTIONS.format("  ") + "  -f POLY\n  -r R\n  -m M\n  -n N\n",
+    "verify": "usage: pellred verify [-h] [--json] --P POLY --Q POLY [--D POLY] [-f POLY]\n"
+    + " " * 22 + "[-d D]\n\n"
+    + _OPTIONS.format("  ") + "  --P POLY\n  --Q POLY\n  --D POLY\n  -f POLY\n  -d D\n",
+    "identify": "usage: pellred identify [-h] [--json] --P POLY --Q POLY -f POLY -d D\n\n"
+    + _OPTIONS.format("  ") + "  --P POLY\n  --Q POLY\n  -f POLY\n  -d D\n",
+    "classify": "usage: pellred classify [-h] [--json] [-d D] [-r R] [-m M] [-n N]\n\n"
+    + _OPTIONS.format("  ") + "  -d D\n  -r R\n  -m M\n  -n N\n",
+    "probe": "usage: pellred probe [-h] [--json] -f POLY -m M --n-max N_MAX\n\n"
+    + _OPTIONS.format(" " * 5) + "  -f POLY\n  -m M\n  --n-max N_MAX\n",
+}
+
+
+class TestGoldenBytes:
+    """Exact stdout, stderr and exit code of every subcommand, text and --json."""
+
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        # argparse wraps usage and help text to the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("line, code, text, as_json, err", GOLDEN, ids=[case[0][:48] for case in GOLDEN])
+    def test_output(self, line, code, text, as_json, err):
+        argv = shlex.split(line)
+        assert _run_cli(argv) == (code, text, err)
+        assert _run_cli(argv + ["--json"]) == (code, as_json, err)
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help(self, command):
+        argv = [command, "--help"] if command else ["--help"]
+        assert _run_cli(argv) == (0, HELP[command], "")
+
+    def test_probe_violation(self, monkeypatch):
+        # No integer f fails the scan, so a report with a violation is stubbed in.
+        report = DivisibilityReport(3, Poly("x"), 6, False, (-3, 6, 1))
+        monkeypatch.setattr("pellred.cli.divisibility_probe", lambda f, m, n_max: report)
+        argv = ["probe", "-f", "x", "-m", "3", "--n-max", "6"]
+        want = "m = 3\nf = x\nn_max = 6\nresult = violation at r=-3, n=6, component 1\n"
+        assert _run_cli(argv) == (0, want, "")
+        want = '{"m": 3, "f": {"coeffs": ["0", "1"]}, "n_max": 6, "ok": false, "violation": [-3, 6, 1]}\n'
+        assert _run_cli(argv + ["--json"]) == (0, want, "")
 
 
 class TestArgumentFiles:
@@ -423,12 +587,7 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None)
     @given(cli_argv())
     def test_exit_code_and_no_traceback(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse: usage errors and --help
-                code = exc.code
-        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        code, _, err = _run_cli(argv)
+        assert code in (0, 1, 2), (argv, code, err)
         if code == 1:
-            assert err.getvalue().split(":")[0].isidentifier(), (argv, err.getvalue())
+            assert err.split(":")[0].isidentifier(), (argv, err)
