@@ -180,7 +180,7 @@ def descend(P, Q, f, d: int, n: int) -> tuple[Poly, Poly]:
     problem = PellProblem(f, d)
     P, Q, f, D = Poly(P), Poly(Q), problem.f, problem.D
     if P.square() - D * Q.square() != Fraction(-d) ** n:
-        raise PreconditionViolated(f"pair is not at norm level (-d)^{n}")
+        raise PreconditionViolated(f"pair is not at norm level (-d)^{decimal_str(n)}")
     Q_next = (P - f * Q) / d
     return (Q - f * Q_next, Q_next)
 
@@ -226,16 +226,13 @@ def identify_solution(P, Q, f, d: int) -> int | None:
 def solve_square_shift(f, n: int) -> PellSolution | None:
     """Integer solutions of P^2 - f*Q^2 = 1 when f + 1 is a perfect square.
 
-    With g^2 = f + 1, the pair (N_n(f, g), D_n(f, g)) has norm
-    (g^2 - f)^n = 1, so it solves the equation directly, for every n.
-    Returns None when f + 1 has no integer polynomial square root.
+    With g^2 = f + 1 this is the paper's d = -1 case with g in place of f:
+    f = g^2 - 1, so the answer is ``solve(PellProblem(g, -1), n)``, whose
+    normalizer is 1 and whose pair is integral for every n.  Returns None
+    when f + 1 has no integer polynomial square root.
     """
-    f = Poly(f)
-    g = (f + 1).sqrt()
-    if g is None:
-        return None
-    pair = redei_recurrence(f, g, n)
-    return PellSolution(pair.N, pair.D, n, True, 1)
+    g = (Poly(f) + 1).sqrt()
+    return None if g is None else solve(PellProblem(g, -1), n)
 
 
 def nathanson(d: int, n: int) -> tuple[Poly, Poly]:
@@ -250,7 +247,7 @@ def nathanson(d: int, n: int) -> tuple[Poly, Poly]:
     """
     check_degree_index(2, n)
     if d not in (1, -1, 2, -2):
-        raise UnsupportedD(f"d={d} is outside {{1, -1, 2, -2}}")
+        raise UnsupportedD(f"d={decimal_str(d)} is outside {{1, -1, 2, -2}}")
     if d == -1:
         diag, lower = X, ONE
     else:

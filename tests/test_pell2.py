@@ -9,6 +9,7 @@ from pellred.pell2 import (
     NotASolution,
     OddIndexUndefined,
     PellProblem,
+    PellSolution,
     PreconditionViolated,
     UnsupportedD,
     ZeroD,
@@ -146,6 +147,11 @@ class TestDescend:
     def test_norm_precondition(self):
         with pytest.raises(PreconditionViolated):
             descend(Poly("x"), ONE, Poly("x"), 3, 2)
+
+    def test_precondition_names_a_level_of_any_size(self):
+        # str() of an int past 4300 digits raises ValueError.
+        with pytest.raises(PreconditionViolated, match=r"\(-d\)\^1000"):
+            descend(Poly(2), Poly(0), Poly("x"), -1, 10**5000)
 
     def test_chain_drops_degrees(self):
         for f in F_SET:
@@ -354,6 +360,23 @@ class TestSquareShift:
             assert s.integral
             assert verify(s.P, s.Q, f)
 
+    def test_matches_the_pair_of_f_and_g(self):
+        # The pair (N_n(f, g), D_n(f, g)) with normalizer 1, as built before
+        # the d = -1 case of solve took its place.
+        def by_pair(f, n):
+            g = (f + 1).sqrt()
+            if g is None:
+                return None
+            pair = redei_recurrence(f, g, n)
+            return PellSolution(pair.N, pair.D, n, True, 1)
+
+        rng = random.Random(20191)
+        for _ in range(3000):
+            g = Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
+            f = g * g - 1 if rng.random() < 0.8 else Poly([rng.randint(-5, 5) for _ in range(3)])
+            n = rng.randint(-2, 12)
+            assert _outcome(solve_square_shift, f, n) == _outcome(by_pair, f, n), (f, n)
+
 
 class TestNathanson:
     def test_first_step(self):
@@ -362,6 +385,11 @@ class TestNathanson:
     def test_unsupported(self):
         with pytest.raises(UnsupportedD):
             nathanson(3, 2)
+
+    def test_unsupported_d_of_any_size(self):
+        # str() of an int past 4300 digits raises ValueError.
+        with pytest.raises(UnsupportedD, match="d=1000"):
+            nathanson(10**5000, 1)
 
     def test_negative_index_rejected(self):
         with pytest.raises(InvalidIndex):
