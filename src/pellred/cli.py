@@ -27,6 +27,20 @@ from .pell2 import PellProblem, classify, identify_solution, solve, verify
 from .pellm import classify_m, divisibility_probe, solve_m
 
 
+class _Store(argparse.Action):
+    """Store a flag's value.  An attached ``--`` (``-d=--``) is the value
+    "--", as Python 3.13 reads it: older argparse strips it and hands over
+    [], which this converts as "--", refused with 3.13's message."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            try:
+                values = self.type("--") if self.type else "--"
+            except ValueError:
+                raise argparse.ArgumentError(self, f"invalid {self.type.__name__} value: '--'") from None
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pellred",
@@ -45,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         required, optional = required.split(), optional.split()
         for flag in required + optional:
             kind = {"metavar": "POLY"} if flag in poly_flags else {"type": decimal_int}
-            p.add_argument(flag, required=flag in required, **kind)
+            p.add_argument(flag, required=flag in required, action=_Store, **kind)
         p.set_defaults(func=func)
 
     command("redei", _cmd_redei, "one Redei pair (N_n, D_n)", "--alpha --z -n")

@@ -1,13 +1,17 @@
 """Product kernels on integer coefficient sequences, ascending as ``Poly.num``.
 
-Schoolbook products and squares, Kronecker substitution of a whole sum of
-products at a binary or a decimal radix, and ``_kernel``, the one rule
-that picks among them: schoolbook or Kronecker from the lengths alone, and
+Two calls are the way in: ``product`` for one product and ``sums_of_products``
+for a batch of sums of products.  Behind them sit schoolbook products (the
+symmetric half for a square), Kronecker substitution of a whole sum of
+products at a binary or a decimal radix, and ``_kernel``, the one rule that
+picks among them: schoolbook or Kronecker from the lengths alone, and
 Kronecker's radix from the shorter length and a bound on the coefficient
-bits.  ``polyring`` runs ``Poly`` products and ``dots`` through these on its
-numerators, and ``pell2.verify`` packs its point test with
-``kronecker_pack``; nothing here sees a ``Poly``.  Decimal packing is capped
-at 640 digits, about 2100-bit product coefficients; wider ones stay binary.
+bits.  A batch scans and packs each operand it shares between sums once, and
+its binary sums share the widest radix.  ``polyring`` runs ``Poly`` products
+and ``dots`` through the two calls on its numerators, and ``pell2.verify``
+packs its point test with ``kronecker_pack``; nothing here sees a ``Poly``.
+Decimal packing is capped at 640 digits, about 2100-bit product
+coefficients; wider ones stay binary.
 
 The kernels are a module of their own because compiling a module from
 source holds its whole syntax tree at once: with them inside, polyring.py
@@ -60,8 +64,8 @@ def _kernel(short: int, xs, ys, tops=None) -> tuple[int, int]:
     is 0.  A sum of several pairs weighs the schoolbook work of all of them,
     as it unpacks only once.  ``tops`` is ``_kronecker_bits``'s scan memo.
 
-    This is the package's one kernel rule: ``Poly.__mul__``, ``dots`` and
-    ``squares_in_decimal`` (so ``pell2.verify``'s route) all ask it.  It
+    This is the package's one kernel rule: ``product``, ``sums_of_products``
+    and ``squares_in_decimal`` (so ``pell2.verify``'s route) all ask it.  It
     reads a coefficient only once it has taken Kronecker, for the radix.
     """
     if short < KRONECKER_FLOOR or sum(map(mul, map(len, xs), map(len, ys))) < KRONECKER_MIN_WORK:
@@ -121,7 +125,10 @@ def squares_in_decimal(cs) -> bool:
 
 
 def _mul_schoolbook(a, b, out=None) -> list:
-    """a*b, added into ``out`` when it is given (long enough for it)."""
+    """a*b, added into ``out`` when it is given (long enough for it); a
+    square (``b is a``) by ``_square_schoolbook``."""
+    if a is b:
+        return _square_schoolbook(a, out)
     if out is None:
         out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -233,3 +240,44 @@ def _kronecker_decimal(xs, ys, j: int, size: int) -> list:
         total = _EXACT.add(total, _EXACT.multiply(vx, vx if y is x else pack(y)))
     digits = _EXACT.to_sci_string(total)
     return [int(digits[i - j : i]) - half for i in range(j * size, 0, -j)]
+
+
+def product(a, b) -> list:
+    """a*b for nonempty integer coefficient sequences a and b, trailing zeros
+    included: ``_kernel``'s kernel for the one pair, a square when ``b is a``.
+    ``Poly.__mul__`` reaches the kernels through this call alone."""
+    bits, j = _kernel(len(a) if len(a) <= len(b) else len(b), (a,), (b,))
+    return _kronecker((a,), (b,), bits, j) if bits else _mul_schoolbook(a, b)
+
+
+def sums_of_products(sums) -> list:
+    """The sum of x*y over the pairs ``zip(xs, ys)`` for each ``(xs, ys)`` in
+    ``sums``, as coefficient lists with trailing zeros: ``polyring.dots``'
+    one call per batch.  Every xs and ys is a list of nonempty integer
+    coefficient sequences, paired one to one.
+
+    Each sum takes the kernel ``_kernel`` picks for it alone: Kronecker
+    (every pair packed at one radix, the int products summed, the sum
+    unpacked once) or schoolbook products accumulated into one int list.
+    The batch scans each operand for its bit size once, and its binary
+    Kronecker sums share the widest radix, at which each operand is packed
+    once; a decimal sum keeps its own.
+
+    Both memos are keyed by ``id``, which is the one contract: the batch it
+    is given holds every operand until the call returns.
+    """
+    out, tops, kronecker = [], {}, []
+    for xs, ys in sums:
+        bits, j = _kernel(max(map(min, map(len, xs), map(len, ys))), xs, ys, tops)
+        if bits:
+            kronecker.append((len(out), xs, ys, bits, j))
+            out.append(None)
+        else:
+            acc = [0] * max(len(a) + len(b) - 1 for a, b in zip(xs, ys))
+            for a, b in zip(xs, ys):
+                _mul_schoolbook(a, b, acc)
+            out.append(acc)
+    widest, packs = max((bits for *_, bits, j in kronecker if not j), default=0), {}
+    for i, xs, ys, bits, j in kronecker:
+        out[i] = _kronecker(xs, ys, bits if j else widest, j, packs)
+    return out

@@ -10,12 +10,9 @@ access.  Only this module reads ``num`` and ``den``.  Polynomials are
 immutable values: ``Poly(p)`` is ``p`` itself, and every operation returns a
 canonical polynomial.
 
-Products run on the integer numerators through the kernels of
-``pellred.kernels``: schoolbook, or Kronecker substitution at a binary or a
-decimal radix, picked by one predicate.  ``Poly.__mul__`` asks it for one
-product, and ``dots`` for each sum of products in a batch; a Kronecker sum is
-packed, multiplied and unpacked once, and a batch scans and packs each
-operand it shares between sums once.
+Products run on the integer numerators through the two calls of
+``pellred.kernels``: ``Poly.__mul__`` makes one ``kernels.product`` call, and
+``dots`` one ``kernels.sums_of_products`` call per batch.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, mul, neg, sub
 
-from .kernels import _kernel, _kronecker, _mul_schoolbook, _square_schoolbook
+from .kernels import product, sums_of_products
 
 #: Degree of the zero polynomial.  A real sentinel (not -1) so that degree
 #: comparisons work and it never equals a real degree.  Arithmetic on it is
@@ -285,22 +282,18 @@ class Poly:
         return out
 
     def __mul__(self, other) -> Poly:
+        """self * other.  A constant on either side scales the other operand;
+        else the numerators go to one ``kernels.product`` call, which squares
+        when they are one tuple (p * p, or p * (p / k))."""
         if isinstance(other, Poly):
             a, b = self.num, other.num
             if not a or not b:
                 return ZERO
-            if len(b) == 1:  # a constant on either side scales the other operand
+            if len(b) == 1:
                 return self._scale(b[0], other.den)
             if len(a) == 1:
                 return other._scale(a[0], self.den)
-            la, lb = len(a), len(b)
-            bits, j = _kernel(la if la <= lb else lb, (a,), (b,))
-            if bits:
-                out = _kronecker((a,), (b,), bits, j)
-            elif a is b:  # p * p, or p * (p / k): the symmetric half only
-                out = _square_schoolbook(a)
-            else:
-                out = _mul_schoolbook(a, b)
+            out = product(a, b)
             den = self.den * other.den
             # The leading product is nonzero, and by Gauss's lemma a shared
             # numerator squared stays coprime to both denominators.
@@ -513,46 +506,27 @@ def dots(sums) -> list:
     ``(xs, ys)`` in ``sums``, as a list.
 
     Pairs with a zero side are skipped; one pair is its product, and a sum
-    with a rational operand the plain sum of its products.  Each integer sum
-    takes the kernel ``kernels._kernel`` picks for it alone: Kronecker (every
-    pair packed at one radix, the int products summed, the sum unpacked
-    once) or schoolbook products accumulated into one int list.  A batch
-    scans each operand for its bit size once, and its binary Kronecker sums
-    share the widest radix, at which each operand is packed once; a decimal
-    sum keeps its own.
+    with a rational operand the plain sum of its products.  Every other sum
+    of the batch goes to one ``kernels.sums_of_products`` call, on the
+    numerators.
 
     >>> dots([([X], [X]), ([X, ONE], [X, Poly(-1)])])
     [Poly('x^2'), Poly('x^2-1')]
     """
-    # Built whole first: the kernels' scan and pack memos are keyed by id, so
-    # every operand must stay alive until the last sum is packed.
-    batch = [[(x, y) for x, y in zip(xs, ys) if x.num and y.num] for xs, ys in sums]
-    out = []
-    tops, kronecker = {}, []
-    for pairs in batch:
+    out, at, integral = [], [], []
+    for xs, ys in sums:
+        pairs = [(x, y) for x, y in zip(xs, ys) if x.num and y.num]
         if len(pairs) == 1:
-            x, y = pairs[0]
-            out.append(x * y)
-            continue
-        if not pairs or any(x.den != 1 or y.den != 1 for x, y in pairs):
+            out.append(pairs[0][0] * pairs[0][1])
+        elif not pairs or any(x.den != 1 or y.den != 1 for x, y in pairs):
             out.append(sum((x * y for x, y in pairs), ZERO))
-            continue
-        xs, ys = [x.num for x, _ in pairs], [y.num for _, y in pairs]
-        bits, j = _kernel(max(min(len(a), len(b)) for a, b in zip(xs, ys)), xs, ys, tops)
-        if bits:
-            kronecker.append((len(out), xs, ys, bits, j))
-            out.append(None)
         else:
-            acc = [0] * max(len(a) + len(b) - 1 for a, b in zip(xs, ys))
-            for a, b in zip(xs, ys):
-                if a is b:
-                    _square_schoolbook(a, acc)
-                else:
-                    _mul_schoolbook(a, b, acc)
-            out.append(_reduce(acc, 1))
-    widest, packs = max((bits for *_, bits, j in kronecker if not j), default=0), {}
-    for i, xs, ys, bits, j in kronecker:
-        out[i] = _reduce(_kronecker(xs, ys, bits if j else widest, j, packs), 1)
+            at.append(len(out))
+            integral.append(([x.num for x, _ in pairs], [y.num for _, y in pairs]))
+            out.append(None)
+    # A batch of only one-pair and rational sums skips the call and its set-up.
+    for i, cs in zip(at, sums_of_products(integral) if integral else ()):
+        out[i] = _reduce(cs, 1)
     return out
 
 

@@ -206,6 +206,25 @@ class TestExitCodes:
         assert f"argument -d: invalid decimal_int value: {value!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "line, err",
+        [
+            ("redei --alpha=-- --z x -n 2", "ParseError: expected a coefficient or 'x' (at position 1)\n"),
+            ("verify --P=-- --Q 1 --D 1", "ParseError: expected a coefficient or 'x' (at position 1)\n"),
+            ("solve -f=-- -d 1 -n 2", "ParseError: expected a coefficient or 'x' (at position 1)\n"),
+            ("solve -f x -d=-- -n 2", "usage: pellred solve [-h] [--json] -f POLY -d D -n N\n"
+             "pellred solve: error: argument -d: invalid decimal_int value: '--'\n"),
+            ("classify -d=--", "usage: pellred classify [-h] [--json] [-d D] [-r R] [-m M] [-n N]\n"
+             "pellred classify: error: argument -d: invalid decimal_int value: '--'\n"),
+        ],
+        ids=["redei --alpha", "verify --P", "solve -f", "solve -d", "classify -d"],
+    )
+    def test_attached_double_dash_is_the_value(self, line, err, monkeypatch):
+        # Python 3.13's argparse reads "-d=--" as the value "--"; older ones
+        # strip the "--" and store [], which the CLI reads the same way.
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _run_cli(line.split()) == (2, "", err)
+
     @pytest.mark.parametrize("command", ["verify", "identify"])
     def test_zero_d_with_f_is_one(self, command, capsys):
         # -f with -d means D = f^2 + d, which is defined for d != 0 only.
@@ -572,7 +591,9 @@ def cli_argv(draw):
     names += draw(st.lists(st.sampled_from(own + ["--json", "--help"]), max_size=1))
     argv = [command]
     for name in names:
-        if name in POLY_OPTIONS:
+        if name in POLY_OPTIONS + INT_OPTIONS and not draw(st.integers(0, 9)):
+            argv.append(f"{name}=--")  # the attached "--", which argparse before 3.13 strips
+        elif name in POLY_OPTIONS:
             value = draw(poly_text)
             # The attached spelling lets a value start with a minus sign.
             argv.append(f"{name}={value}" if name.startswith("--") else name + value)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -51,3 +52,16 @@ class TestEntryPoint:
         scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
         module, _, func = scripts["pellred"].partition(":")
         assert getattr(importlib.import_module(module), func) is entry
+
+
+class TestKernelBoundary:
+    def test_only_kernels_reads_its_private_names(self):
+        # The rest of the package reaches pellred.kernels through its public
+        # calls, so the kernel rule and the batch memos stay inside it.
+        for path in sorted((ROOT / "src" / "pellred").glob("*.py")):
+            if path.name == "kernels.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("kernels"):
+                    private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                    assert not private, (path.name, private)

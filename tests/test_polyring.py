@@ -29,6 +29,7 @@ from pellred.kernels import (
     kronecker_pack,
     squares_in_decimal,
 )
+from pellred.kernels import product, sums_of_products
 from pellred.polyring import NEG_INF, NotIntegral, ONE, ParseError, Poly, X, ZERO, parse_poly
 from pellred.polyring import MAX_PARSE_DEGREE, common_denominator, decimal_str, dot, dots, format_poly, power
 
@@ -808,7 +809,7 @@ class TestDot:
         y = Poly([rng.randrange(-(2**90), 2**90) for _ in range(length - 1)] + [-5])
         small = [Poly([rng.randrange(-9, 10) for _ in range(3)]) for _ in range(extra)]
         xs, ys = [x, -x] + small, [y, y] + small[::-1]
-        with mock.patch.object(pellred.polyring, "_kronecker", wraps=_kronecker) as spy:
+        with mock.patch.object(pellred.kernels, "_kronecker", wraps=_kronecker) as spy:
             got = dot(xs, ys)
         assert spy.called is (length >= ALWAYS_KRONECKER)
         assert got == reference_dot(xs, ys)
@@ -915,8 +916,8 @@ class TestDots:
             ([], []),
         ]
         with (
-            mock.patch.object(pellred.polyring, "_kronecker", wraps=_kronecker) as kron,
-            mock.patch.object(pellred.polyring, "_mul_schoolbook", wraps=_mul_schoolbook) as school,
+            mock.patch.object(pellred.kernels, "_kronecker", wraps=_kronecker) as kron,
+            mock.patch.object(pellred.kernels, "_mul_schoolbook", wraps=_mul_schoolbook) as school,
         ):
             got = dots(sums)
         assert got == [reference_dot(xs, ys) for xs, ys in sums]
@@ -952,8 +953,8 @@ class TestDots:
             return _kronecker(xs, ys, bits, j, packs)
 
         with (
-            mock.patch.object(pellred.polyring, "_kernel", side_effect=ask),
-            mock.patch.object(pellred.polyring, "_kronecker", side_effect=record),
+            mock.patch.object(pellred.kernels, "_kernel", side_effect=ask),
+            mock.patch.object(pellred.kernels, "_kronecker", side_effect=record),
         ):
             got = dots(sums)
         assert got == [reference_dot(xs, ys) for xs, ys in sums]
@@ -986,6 +987,87 @@ class TestDots:
             got = dots(sums)
         assert spy.call_count == (rest + 1) ** 2
         assert got == [pivot * a[i][j] - col[i] * row[j] for i in range(rest) for j in range(rest)]
+
+
+    def test_fresh_operands_from_generators(self):
+        # Every Poly is made as it is drawn and has no other reference, so an
+        # operand freed before its batch is done, or a memo kept past its
+        # batch, would hand a freed operand's id, and with it a stale scan
+        # or pack, to a later one.  The batches alternate narrow and wide
+        # coefficients at one length, so that a stale entry shows.
+        rng = random.Random(24)
+
+        def coeffs(top):
+            return [rng.randrange(-(2**top), 2**top) for _ in range(ALWAYS_KRONECKER - 1)] + [1]
+
+        def fresh(specs):
+            for xs, ys in specs:
+                yield (Poly(cs) for cs in xs), (Poly(cs) for cs in ys)
+
+        for top in [3, 400] * 10:
+            specs = [([coeffs(top), coeffs(top)], [coeffs(top), coeffs(top)]) for _ in range(rng.randint(1, 3))]
+            specs += [([coeffs(top)], [coeffs(3)]), ([coeffs(top), [1, 2]], [[Fraction(1, 2), 1], [3]])]
+            want = [reference_dot([Poly(cs) for cs in xs], [Poly(cs) for cs in ys]) for xs, ys in specs]
+            assert dots(fresh(specs)) == want
+
+
+def schoolbook_sum(xs, ys) -> list:
+    """The sum of x*y over the pairs, each by the general schoolbook loop (a
+    copy of y, so that no pair is taken as a square), trailing zeros kept."""
+    acc = [0] * max(len(x) + len(y) - 1 for x, y in zip(xs, ys))
+    for x, y in zip(xs, ys):
+        _mul_schoolbook(x, list(y), acc)
+    return acc
+
+
+@st.composite
+def kernel_batches(draw):
+    """A batch of integer sums over one pool of coefficient tuples, so that
+    sums share operand objects and pairs may be squares (x is y): lengths on
+    both sides of KRONECKER_FLOOR and past ALWAYS_KRONECKER, narrow and
+    wide coefficients, and now and then a sum that takes the decimal kernel."""
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.sampled_from([1, 3, KRONECKER_FLOOR - 1, KRONECKER_FLOOR, 16, ALWAYS_KRONECKER, 40]))
+        cs = draw(st.lists(dot_coeff, min_size=n, max_size=n))
+        pool.append(tuple(cs[:-1] + [cs[-1] or 1]))
+    index = st.integers(0, len(pool) - 1)
+    sums = []
+    for _ in range(draw(st.integers(1, 6))):
+        pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=5))
+        sums.append(([pool[i] for i, _ in pairs], [pool[j] for _, j in pairs]))
+    if draw(st.booleans()):  # seeded, as drawing its 100 kbit would overrun hypothesis's buffer
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        wide = tuple(rng.randrange(-(2**1000), 2**1000) for _ in range(DECIMAL_LENGTH - 1)) + (2**1000,)
+        sums.append(([wide, pool[draw(index)]], [wide, pool[draw(index)]]))
+    return sums
+
+
+class TestKernelCalls:
+    """The two public kernel calls against schoolbook, sum by sum."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_batches())
+    def test_batch_matches_schoolbook_per_sum(self, sums):
+        assert sums_of_products(sums) == [schoolbook_sum(xs, ys) for xs, ys in sums]
+
+    def test_batch_takes_every_kernel(self):
+        # One batch with a schoolbook, a binary and a decimal sum, a square
+        # in each, against schoolbook.
+        rng = random.Random(3)
+        short = tuple(rng.randrange(-9, 10) for _ in range(5))
+        mid = tuple(rng.randrange(-(2**60), 2**60) for _ in range(ALWAYS_KRONECKER))
+        wide = tuple(rng.randrange(-(2**1000), 2**1000) for _ in range(DECIMAL_LENGTH))
+        sums = [([short, short], [short, mid]), ([mid, mid], [mid, short]), ([wide, mid], [wide, mid])]
+        kernels = [lone_kernel([Poly(x) for x in xs], [Poly(y) for y in ys]) for xs, ys in sums]
+        assert [(bool(bits), bool(j)) for bits, j in kernels] == [(False, False), (True, False), (True, True)]
+        assert sums_of_products(sums) == [schoolbook_sum(xs, ys) for xs, ys in sums]
+
+    @settings(max_examples=60, deadline=None)
+    @given(any_length, any_length)
+    def test_product_matches_schoolbook(self, a, b):
+        assert product(a, b) == schoolbook_sum([a], [b])
+        assert product(a, a) == schoolbook_sum([a], [a]) == _square_schoolbook(a)
 
 
 class TestIntegerDivision:
