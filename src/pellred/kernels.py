@@ -254,7 +254,7 @@ def sums_of_products(sums) -> list:
     """The sum of x*y over the pairs ``zip(xs, ys)`` for each ``(xs, ys)`` in
     ``sums``, as coefficient lists with trailing zeros: ``polyring.dots``'
     one call per batch.  Every xs and ys is a list of nonempty integer
-    coefficient sequences, paired one to one.
+    coefficient sequences, paired one to one, one pair or more per sum.
 
     Each sum takes the kernel ``_kernel`` picks for it alone: Kronecker
     (every pair packed at one radix, the int products summed, the sum

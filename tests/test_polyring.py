@@ -988,7 +988,6 @@ class TestDots:
         assert spy.call_count == (rest + 1) ** 2
         assert got == [pivot * a[i][j] - col[i] * row[j] for i in range(rest) for j in range(rest)]
 
-
     def test_fresh_operands_from_generators(self):
         # Every Poly is made as it is drawn and has no other reference, so an
         # operand freed before its batch is done, or a memo kept past its
