@@ -1,15 +1,16 @@
 """Product kernels on integer coefficient sequences, ascending as ``Poly.num``.
 
-Two calls are the way in: ``product`` for one product and ``sums_of_products``
-for a batch of sums of products.  Behind them sit schoolbook products (the
+Three calls are the way in: ``product`` for one product, ``sums_of_products``
+for a batch of sums of products, and ``point_test`` for the exact zero test of
+a Pell residual at one binary point.  Behind them sit schoolbook products (the
 symmetric half for a square), Kronecker substitution of a whole sum of
 products at a binary or a decimal radix, and ``_kernel``, the one rule that
 picks among them: schoolbook or Kronecker from the lengths alone, and
 Kronecker's radix from the shorter length and a bound on the coefficient
 bits.  A batch scans and packs each operand it shares between sums once, and
 its binary sums share the widest radix.  ``polyring`` runs ``Poly`` products
-and ``dots`` through the two calls on its numerators, and ``pell2.verify``
-packs its point test with ``kronecker_pack``; nothing here sees a ``Poly``.
+and ``dots`` through the first two calls on its numerators, and
+``pell2.verify`` asks the third; nothing here sees a ``Poly``.
 Decimal packing is capped at 640 digits, about 2100-bit product
 coefficients; wider ones stay binary.
 
@@ -65,7 +66,7 @@ def _kernel(short: int, xs, ys, tops=None) -> tuple[int, int]:
     as it unpacks only once.  ``tops`` is ``_kronecker_bits``'s scan memo.
 
     This is the package's one kernel rule: ``product``, ``sums_of_products``
-    and ``squares_in_decimal`` (so ``pell2.verify``'s route) all ask it.  It
+    and ``point_test`` (so ``pell2.verify``'s route) all ask it.  It
     reads a coefficient only once it has taken Kronecker, for the radix.
     """
     if short < KRONECKER_FLOOR or sum(map(mul, map(len, xs), map(len, ys))) < KRONECKER_MIN_WORK:
@@ -113,15 +114,6 @@ def _decimal_digits(short: int, bits: int) -> int:
     # for every bits up to 13300, far past j = 640, it is the least such j.
     j = bits * 30103 // 100000 + 2
     return j if j <= 640 and short * bits >= KRONECKER_DECIMAL_MIN_BITS else 0
-
-
-def squares_in_decimal(cs) -> bool:
-    """Whether ``Poly.square`` of the integer coefficients ``cs`` takes the
-    decimal Kronecker kernel.  No coefficient is read while even
-    ``_DECIMAL_MAX_BITS`` would not pack ``cs`` to the cut-off: ``pell2.verify``
-    asks this of every solution it checks."""
-    n = len(cs)
-    return _decimal_digits(n, _DECIMAL_MAX_BITS) > 0 and _kernel(n, (cs,), (cs,))[1] > 0
 
 
 def _mul_schoolbook(a, b, out=None) -> list:
@@ -240,6 +232,44 @@ def _kronecker_decimal(xs, ys, j: int, size: int) -> list:
         total = _EXACT.add(total, _EXACT.multiply(vx, vx if y is x else pack(y)))
     digits = _EXACT.to_sci_string(total)
     return [int(digits[i - j : i]) - half for i in range(j * size, 0, -j)]
+
+
+def point_test(ps, qs, ds, e: int, ll: int) -> bool | None:
+    """Whether e*(P^2 - ll) == (e*D)*Q^2 for the integer coefficient sequences
+    ``ps``, ``qs`` and ``ds`` of P, Q and e*D, decided at the one point x = 2^k
+    (Kronecker substitution as a zero test), or None where ``product`` would
+    square P or Q in decimal: ``pell2.verify``'s one call here, with P and Q
+    its L*P and L*Q, e the denominator of D and ll = L^2.
+
+    The residual R = e*P^2 - (e*D)*Q^2 - e*ll is an integer polynomial, and by
+    the 1-norm |.| (sum of absolute coefficients) every coefficient of R is at
+    most e*|P|^2 + |e*D|*|Q|^2 + e*ll.  k = 8w is the least multiple of 8 with
+    2^(k-1) above that bound.  If R were nonzero, its lowest nonzero
+    coefficient c would satisfy 0 < |c| < 2^k, so R(2^k) = 2^(k*j)*(c + 2^k*s)
+    for integers j, s would not vanish.  Hence R(2^k) == 0 iff R == 0: the
+    test is exact, not probabilistic.  P and Q are packed at 2^k by
+    ``kronecker_pack`` into ints p and q, D(2^k)*q^2 is built by Horner's rule
+    from the coefficients of e*D (shifts and one small multiplier per step,
+    not a product with the long, mostly zero D(2^k)), and e*(p^2 - ll) is
+    compared with it as a plain int, with no unpacking.
+
+    These are binary int squares, so the test declines (None) where
+    ``_kernel`` takes the decimal kernel for P^2 or Q^2.  No coefficient is
+    read for that while even ``_DECIMAL_MAX_BITS`` would not pack the
+    operand to the cut-off.
+    """
+    for cs in (ps, qs):
+        if _decimal_digits(len(cs), _DECIMAL_MAX_BITS) and _kernel(len(cs), (cs,), (cs,))[1]:
+            return None
+    norm_p, norm_q, norm_d = (sum(map(abs, cs)) for cs in (ps, qs, ds))
+    # The last term bounds Q's own digits too when D is zero.
+    bound = e * (norm_p * norm_p + ll) + norm_d * norm_q * norm_q + norm_q
+    w = bound.bit_length() // 8 + 1
+    p, q = kronecker_pack(ps, w), kronecker_pack(qs, w)
+    q2, dq2, k = q * q, 0, 8 * w
+    for c in reversed(ds):
+        dq2 = (dq2 << k) + c * q2
+    return e * (p * p - ll) == dq2
 
 
 def product(a, b) -> list:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernels import kronecker_pack, squares_in_decimal
+from .kernels import point_test
 from .polyring import DomainError, ONE, Poly, X, ZERO, common_denominator, decimal_str
 from .polymat import build_circulant
 from .redei import RedeiPair, check_degree_index, norm_power, redei_recurrence, redei_sequence
@@ -130,41 +130,15 @@ def verify(P, Q, D) -> bool:
 
     Denominators are cleared once up front so the check runs in integer
     arithmetic: with L the lcm of the denominators of P and Q, it becomes
-    (L*P)^2 - D*(L*Q)^2 == L^2.
-
-    That identity is decided at the one point x = 2^k (Kronecker substitution
-    as a zero test).  With e the denominator of D, the residual
-    R = e*(L*P)^2 - (e*D)*(L*Q)^2 - e*L^2 is an integer polynomial, and by the
-    1-norm (sum of absolute coefficients) every coefficient of R is at most
-    e*|L*P|^2 + |e*D|*|L*Q|^2 + e*L^2.  k = 8w is the least multiple of 8
-    with 2^(k-1) above that bound.  If R were nonzero, its lowest nonzero
-    coefficient c would satisfy 0 < |c| < 2^k, so R(2^k) = 2^(k*j)*(c + 2^k*s)
-    for integers j, s would not vanish.  Hence R(2^k) == 0 iff R == 0: the
-    test is exact, not probabilistic.  L*P and L*Q are packed at 2^k by
-    ``kernels.kronecker_pack`` into ints p and q, D(2^k)*q^2 is built by
-    Horner's rule from the coefficients of e*D (shifts and one small
-    multiplier per step, not a product with the long, mostly zero D(2^k)),
-    and e*(p^2 - L^2) is compared with it as a plain int, with no unpacking.
-    These are binary int products, so when ``Poly`` would square L*P or L*Q
-    in decimal (``kernels.squares_in_decimal``, the kernel's own rule), the
-    polynomial check is taken instead.
+    (L*P)^2 - D*(L*Q)^2 == L^2.  ``kernels.point_test`` decides that at one
+    point, exactly; where it declines, as it does where ``Poly`` would square
+    L*P or L*Q in decimal, the polynomial identity decides it.
     """
     P, Q, D = Poly(P), Poly(Q), Poly(D)
     scale = common_denominator(P, Q)
-    P, Q = P * scale, Q * scale
-    if squares_in_decimal(P.coeffs) or squares_in_decimal(Q.coeffs):
-        return P.square() - D * Q.square() == scale * scale
-    e = common_denominator(D)
-    ps, qs, ds = P.coeffs, Q.coeffs, (D * e).coeffs
-    norm_p, norm_q, norm_d = (sum(map(abs, cs)) for cs in (ps, qs, ds))
-    # The last term bounds Q's own digits too when D is zero.
-    bound = e * (norm_p * norm_p + scale * scale) + norm_d * norm_q * norm_q + norm_q
-    w = bound.bit_length() // 8 + 1
-    p, q = kronecker_pack(ps, w), kronecker_pack(qs, w)
-    q2, dq2, k = q * q, 0, 8 * w
-    for c in reversed(ds):
-        dq2 = (dq2 << k) + c * q2
-    return e * (p * p - scale * scale) == dq2
+    P, Q, ll = P * scale, Q * scale, scale * scale
+    verdict = point_test(P.num, Q.num, D.num, D.den, ll)
+    return P.square() - D * Q.square() == ll if verdict is None else verdict
 
 
 def descend(P, Q, f, d: int, n: int) -> tuple[Poly, Poly]:

@@ -65,3 +65,17 @@ class TestKernelBoundary:
                 if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("kernels"):
                     private = [alias.name for alias in node.names if alias.name.startswith("_")]
                     assert not private, (path.name, private)
+
+    def test_each_module_imports_its_kernel_calls(self):
+        # polyring multiplies through the product and batch calls, pell2.verify
+        # asks the point test, and no other module reaches pellred.kernels:
+        # packing, radix and route stay inside it.
+        imported = {}
+        for path in sorted((ROOT / "src" / "pellred").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and node.module == "kernels" and node.level == 1:
+                    imported.setdefault(path.name, set()).update(alias.name for alias in node.names)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+                    assert not any(name.endswith("kernels") for name in names), (path.name, names)
+        assert imported == {"polyring.py": {"product", "sums_of_products"}, "pell2.py": {"point_test"}}

@@ -27,7 +27,7 @@ from pellred.kernels import (
     _mul_schoolbook,
     _square_schoolbook,
     kronecker_pack,
-    squares_in_decimal,
+    point_test,
 )
 from pellred.kernels import product, sums_of_products
 from pellred.polyring import NEG_INF, NotIntegral, ONE, ParseError, Poly, X, ZERO, parse_poly
@@ -35,6 +35,13 @@ from pellred.polyring import MAX_PARSE_DEGREE, common_denominator, decimal_str, 
 
 #: A length whose products and squares always take Kronecker substitution.
 ALWAYS_KRONECKER = 32
+
+
+def point_test_declines(cs) -> bool:
+    """Whether ``point_test`` declines (None) the operand cs, as P and as Q alike."""
+    as_p, as_q = point_test(cs, (1,), (), 1, 1), point_test((1,), cs, (), 1, 1)
+    assert (as_p is None) is (as_q is None)
+    return as_p is None
 
 
 def test_doctests():
@@ -703,25 +710,26 @@ class TestKernelChoice:
         assert _kernel(KRONECKER_FLOOR, [a] * 3, [b] * 3)[0]
 
     def test_squares_in_decimal_is_the_balanced_rule(self):
-        # For a square the decimal rule is the earlier one: the operand packs
-        # to KRONECKER_DECIMAL_MIN_BITS and its digits fit in 640.
+        # point_test declines an operand whose square the decimal rule takes,
+        # the earlier balanced one: it packs to KRONECKER_DECIMAL_MIN_BITS and
+        # its digits fit in 640.
         for n in (KRONECKER_FLOOR, 15, 16, ALWAYS_KRONECKER, 100, 255, 577):
             for bits in range(40, 2300, 37):
                 j = least_digits(bits)
                 earlier = n * bits >= KRONECKER_DECIMAL_MIN_BITS and j <= 640
                 cs = [1] * n
                 with mock.patch.object(pellred.kernels, "_kronecker_bits", return_value=bits):
-                    assert squares_in_decimal(cs) is earlier, (n, bits)
+                    assert point_test_declines(cs) is earlier, (n, bits)
 
     @pytest.mark.parametrize("cutoff", [KRONECKER_DECIMAL_MIN_BITS, 0, 20_000])
     def test_squares_in_decimal_asks_the_kernel(self, cutoff):
-        # Its length test only skips squares that cannot reach the cut-off.
+        # point_test's length test only skips squares that cannot reach the cut-off.
         assert max(b for b in range(1, 3000) if _decimal_digits(10**6, b)) == _DECIMAL_MAX_BITS
         with mock.patch.object(pellred.kernels, "KRONECKER_DECIMAL_MIN_BITS", cutoff):
             for n in (KRONECKER_FLOOR, 15, 16, ALWAYS_KRONECKER, 94, 95, 100):
                 for top in (1, 300, 1060, 1061, 1100):
                     cs = [(1 << top) - 1] * n
-                    assert squares_in_decimal(cs) is (_kernel(n, (cs,), (cs,))[1] > 0), (n, top)
+                    assert point_test_declines(cs) is (_kernel(n, (cs,), (cs,))[1] > 0), (n, top)
 
     # (short, long, bits, decimal) on both sides of short * bits =
     # KRONECKER_DECIMAL_MIN_BITS and of j = 640 (bits = _DECIMAL_MAX_BITS).

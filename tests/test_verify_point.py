@@ -1,22 +1,31 @@
 """``verify``'s one-point Kronecker test against the polynomial check.
 
-While ``Poly`` would square L*P and L*Q in binary (``squares_in_decimal``),
-``verify`` decides P^2 - D*Q^2 == 1 from the values of the cleared residual at
-x = 2^k.  That is exact only while k is large enough for the coefficient
-bound: with k too small, a nonzero residual that vanishes at 2^k is accepted
-without any error.  The reference here is the polynomial identity
-(L*P)^2 - D*(L*Q)^2 == L^2, and the deterministic cases are nonzero
-residuals built to vanish at a power of two just below the one ``verify``
-picks.
+While ``Poly`` would square L*P and L*Q in binary, ``kernels.point_test``
+decides P^2 - D*Q^2 == 1 for ``verify`` from the values of the cleared
+residual at x = 2^k, and elsewhere it declines (None).  That is exact only
+while k is large enough for the coefficient bound: with k too small, a
+nonzero residual that vanishes at 2^k is accepted without any error.  The
+reference here is the polynomial identity (L*P)^2 - D*(L*Q)^2 == L^2, and the
+deterministic cases are nonzero residuals built to vanish at a power of two
+just below the one ``point_test`` picks.
 """
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from pellred import kernels
-from pellred.kernels import KRONECKER_DECIMAL_MIN_BITS, kronecker_pack
+from pellred.kernels import (
+    KRONECKER_DECIMAL_MIN_BITS,
+    KRONECKER_FLOOR,
+    _DECIMAL_MAX_BITS,
+    _decimal_digits,
+    _kernel,
+    kronecker_pack,
+    point_test,
+)
 from pellred.pell2 import PellProblem, solve, verify
 from pellred.polyring import ONE, Poly, X, ZERO, common_denominator
 
@@ -211,12 +220,75 @@ def vanishing_cases():
 
 class TestAtTheBound:
     def test_residual_vanishing_at_a_smaller_power_of_two(self):
-        # Each residual is zero at some 2^a below the 2^k that verify picks, and
-        # its largest coefficient is near 2^(k-1).  A k taken too small, by a
-        # byte or by half, lands on some a and accepts a wrong pair.
+        # Each residual is zero at some 2^a below the 2^k that point_test picks,
+        # and its largest coefficient is near 2^(k-1).  A k taken too small, by
+        # a byte or by half, lands on some a and accepts a wrong pair.
         for P, Q, D, g in vanishing_cases():
             assert P * P - D * Q * Q - 1 == Q * Q * g
+            L = common_denominator(P, Q)
+            assert point_test((P * L).num, (Q * L).num, D.num, D.den, L * L) is False, (P, Q, D)
             assert not verify(P, Q, D), (P, Q, D)
+
+
+def squares_in_decimal(cs) -> bool:
+    """Whether ``Poly.square`` of the integer coefficients cs takes the decimal
+    kernel, stated apart from ``point_test`` as its reference: no coefficient
+    is read while even ``_DECIMAL_MAX_BITS`` would not pack cs to the cut-off."""
+    n = len(cs)
+    return _decimal_digits(n, _DECIMAL_MAX_BITS) > 0 and _kernel(n, (cs,), (cs,))[1] > 0
+
+
+@st.composite
+def near_the_decimal_rule(draw):
+    """Integer coefficients whose square's bit bound lies near
+    ``_DECIMAL_MAX_BITS`` or well below it, at a length near the one where it
+    packs to ``KRONECKER_DECIMAL_MIN_BITS``; or a short list."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.lists(st.integers(-(2**70), 2**70), max_size=KRONECKER_FLOOR + 2))
+    bits = draw(st.one_of(st.integers(_DECIMAL_MAX_BITS - 8, _DECIMAL_MAX_BITS + 8), st.integers(400, 1400)))
+    n = KRONECKER_DECIMAL_MIN_BITS // bits + draw(st.integers(-2, 2))
+    top = (bits - n.bit_length()) // 2
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cs = [rng.randrange(1 - (1 << top), 1 << top) for _ in range(n)]
+    cs[rng.randrange(n)] = rng.choice((-1, 1)) * ((1 << top) - 1)
+    return cs
+
+
+class TestPointTest:
+    @SETTINGS
+    @given(
+        near_the_decimal_rule(),
+        near_the_decimal_rule(),
+        st.sampled_from(["random", "true P", "true Q"]),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.booleans(),
+        st.data(),
+    )
+    def test_declines_the_decimal_squares_and_decides_the_rest(self, ps, qs, kind, ts, e, L, tampered, data):
+        # True triples: Q = c with e*D = c^2*(P^2 - L^2), or P = L + Q^2*T with
+        # D = T*(2L + Q^2*T); the random ones are almost all false.
+        if kind == "true P":
+            c = ts[0] or 1
+            qs, e = [c], c * c
+            ds = list((Poly(ps).square() - L * L).num)
+        elif kind == "true Q":
+            Q2T = Poly(qs).square() * Poly(ts)
+            ps, ds = list((Q2T + L).num), list((Poly(ts) * (Q2T + 2 * L) * e).num)
+        else:
+            ds = ts
+        if tampered:
+            cs = data.draw(st.sampled_from([cs for cs in (ps, qs, ds) if cs]))
+            cs[data.draw(st.integers(0, len(cs) - 1))] += data.draw(st.sampled_from([1, -1]))
+        got = point_test(ps, qs, ds, e, L * L)
+        decimal = squares_in_decimal(ps) or squares_in_decimal(qs)
+        assert decimal is (_kernel(len(ps), (ps,), (ps,))[1] > 0 or _kernel(len(qs), (qs,), (qs,))[1] > 0)
+        if decimal:
+            assert got is None
+        else:
+            P, Q = Poly(ps), Poly(qs)
+            assert got is ((P.square() - L * L) * e == Poly(ds) * Q.square())
 
 
 class TestPack:
