@@ -267,8 +267,8 @@ class TestPointTest:
         st.data(),
     )
     def test_declines_the_decimal_squares_and_decides_the_rest(self, ps, qs, kind, ts, e, L, tampered, data):
-        # True triples: Q = c with e*D = c^2*(P^2 - L^2), or P = L + Q^2*T with
-        # D = T*(2L + Q^2*T); the random ones are almost all false.
+        # True triples: Q = c with e = c^2 and e*D = P^2 - L^2, or P = L + Q^2*T
+        # with D = T*(2L + Q^2*T); the random ones are almost all false.
         if kind == "true P":
             c = ts[0] or 1
             qs, e = [c], c * c
