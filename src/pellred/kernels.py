@@ -1,18 +1,20 @@
 """Product kernels on integer coefficient sequences, ascending as ``Poly.num``.
 
-Three calls are the way in: ``product`` for one product, ``sums_of_products``
-for a batch of sums of products, and ``point_test`` for the exact zero test of
-a Pell residual at one binary point.  Behind them sit schoolbook products (the
-symmetric half for a square), Kronecker substitution of a whole sum of
-products at a binary or a decimal radix, and ``_kernel``, the one rule that
-picks among them: schoolbook or Kronecker from the lengths alone, and
-Kronecker's radix from the shorter length and a bound on the coefficient
-bits.  A batch scans and packs each operand it shares between sums once, and
-its binary sums share the widest radix.  ``polyring`` runs ``Poly`` products
-and ``dots`` through the first two calls on its numerators, and
-``pell2.verify`` asks the third; nothing here sees a ``Poly``.
-Decimal packing is capped at 640 digits, about 2100-bit product
-coefficients; wider ones stay binary.
+Four calls are the way in: ``product`` for one product, ``sums_of_products``
+for a batch of sums of products, ``point_test`` for the exact zero test of a
+Pell residual at one binary point, and ``square_root`` for a polynomial's
+square root, one integer square root at one binary point.  Behind them sit
+schoolbook products (the symmetric half for a square), Kronecker
+substitution of a whole sum of products at a binary or a decimal radix, one
+rule that reads a binary value back into coefficients, and ``_kernel``, the
+one rule that picks among the products: schoolbook or Kronecker from the
+lengths alone, and Kronecker's radix from the shorter length and a bound on
+the coefficient bits.  A batch scans and packs each operand it shares
+between sums once, and its binary sums share the widest radix.  ``polyring``
+runs ``Poly`` products and ``dots`` through the first two calls on its
+numerators and ``Poly.sqrt`` through the fourth, and ``pell2.verify`` asks
+the third; nothing here sees a ``Poly``.  Decimal packing is capped at 640
+digits, about 2100-bit product coefficients; wider ones stay binary.
 
 The kernels are a module of their own because compiling a module from
 source holds its whole syntax tree at once: with them inside, polyring.py
@@ -22,6 +24,7 @@ raised the peak RSS of importing pellred by about 0.4 MB.
 from __future__ import annotations
 
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Inexact, Rounded
+from math import isqrt
 from operator import mul
 
 #: Shorter operand length, in coefficients, below which every product is
@@ -101,19 +104,24 @@ def _kronecker_bits(xs, ys, tops=None) -> int:
     return top + count.bit_length()
 
 
-#: The largest bit bound with at most 640 decimal digits in ``_decimal_digits``.
-_DECIMAL_MAX_BITS = 2122
+#: The most decimal digits j a coefficient takes in a decimal Kronecker
+#: product (``_kronecker``), and the largest bit bound that
+#: ``_decimal_digits`` gives at most that many: j <= D exactly where
+#: bits * 30103 < (D - 1) * 100000.
+_DECIMAL_MAX_DIGITS = 640
+_DECIMAL_MAX_BITS = ((_DECIMAL_MAX_DIGITS - 1) * 100000 - 1) // 30103
 
 
 def _decimal_digits(short: int, bits: int) -> int:
     """The digit count j of the decimal Kronecker product with a shorter
     operand of ``short`` coefficients and product coefficients below 2^bits,
     or 0 when that product is binary: decimal needs ``short * bits`` to reach
-    ``KRONECKER_DECIMAL_MIN_BITS`` and j <= 640 (bits <= ``_DECIMAL_MAX_BITS``)."""
+    ``KRONECKER_DECIMAL_MIN_BITS`` and j <= ``_DECIMAL_MAX_DIGITS`` (bits <=
+    ``_DECIMAL_MAX_BITS``)."""
     # 30103/100000 exceeds log10(2), so 10^(j-1) > 2^bits holds for this j;
-    # for every bits up to 13300, far past j = 640, it is the least such j.
+    # for every bits up to 13300, far past the cap, it is the least such j.
     j = bits * 30103 // 100000 + 2
-    return j if j <= 640 and short * bits >= KRONECKER_DECIMAL_MIN_BITS else 0
+    return j if j <= _DECIMAL_MAX_DIGITS and short * bits >= KRONECKER_DECIMAL_MIN_BITS else 0
 
 
 def _mul_schoolbook(a, b, out=None) -> list:
@@ -160,6 +168,17 @@ def kronecker_pack(cs, w: int) -> int:
     return int.from_bytes(digits, "little") - int.from_bytes(offsets, "little")
 
 
+def _unpack(value: int, w: int, size: int) -> list:
+    """The ``size`` coefficients (ascending) of ``value`` read as a polynomial
+    at x = 2^(8w), each with |c| < 2^(8w-1): the inverse of ``kronecker_pack``.
+    The half-range offset is added to ``value`` as one integer, so every
+    w-byte digit is non-negative, and subtracted again from each digit."""
+    half = 1 << (8 * w - 1)
+    value += int.from_bytes(half.to_bytes(w, "little") * size, "little")
+    digits = value.to_bytes(w * size, "little")
+    return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * size, w)]
+
+
 def _kronecker(xs, ys, bits: int, j: int, packs=None) -> list:
     """The sum of x*y over the pairs of integer coefficient sequences xs and
     ys by Kronecker substitution, trailing zeros included.
@@ -177,8 +196,8 @@ def _kronecker(xs, ys, bits: int, j: int, packs=None) -> list:
       a number-theoretic transform for long operands (O(n log n), in the line
       of Schoenhage & Strassen 1971, Computing 7), in the exact context
       ``_EXACT``.  Taken where ``KRONECKER_DECIMAL_MIN_BITS`` says and j <=
-      640.  Every int this path converts to or from text then has at most 640
-      digits, and 640 is the lowest int/str digit limit that
+      ``_DECIMAL_MAX_DIGITS``.  Every int this path converts to or from text
+      then has at most 640 digits, the lowest int/str digit limit that
       ``sys.set_int_max_str_digits`` accepts
       (``sys.int_info.str_digits_check_threshold``), so no limit setting can
       make it raise.  Wider coefficients, past about 2100 bits, stay binary.
@@ -209,10 +228,7 @@ def _kronecker(xs, ys, bits: int, j: int, packs=None) -> list:
         if vy is None:
             vy = packs[id(y)] = kronecker_pack(y, w)
         total += vx * vy
-    half = 1 << (8 * w - 1)
-    total += int.from_bytes(half.to_bytes(w, "little") * size, "little")
-    digits = total.to_bytes(w * size, "little")
-    return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * size, w)]
+    return _unpack(total, w, size)
 
 
 def _kronecker_decimal(xs, ys, j: int, size: int) -> list:
@@ -270,6 +286,34 @@ def point_test(ps, qs, ds, e: int, ll: int) -> bool | None:
     for c in reversed(ds):
         dq2 = (dq2 << k) + c * q2
     return e * (p * p - ll) == dq2
+
+
+def square_root(cs) -> list:
+    """The coefficients g (ascending, with one more than g has) of the square
+    root with positive leading coefficient of the integer polynomial f with
+    coefficients ``cs``, if f = g^2 in Z[x]; otherwise coefficients whose
+    square is not f.  ``Poly.sqrt``'s one call, which squares the answer to
+    tell the two apart.
+
+    If f = g^2, Parseval's identity bounds every coefficient of g by the 1-norm
+    |f| (sum of absolute coefficients): g_i^2 <= sum g_i^2, the mean of
+    |g(z)|^2 = |f(z)| over |z| = 1, which is at most |f|.  So |g_i| <= s =
+    isqrt(|f|), and w = s.bit_length() // 8 + 1 puts every g_i strictly inside
+    the half range 2^(8w-1) = X/2 of the radix X = 2^(8w).  Then g(X) > 0: its
+    leading term X^d exceeds (X/2 - 1)(X^d - 1)/(X - 1), the most its lower
+    terms can subtract.  f(X), built by Horner's rule (a shift per step), is
+    g(X)^2, so g(X) = isqrt(f(X)) exactly, and its base-X digits read with the
+    half-range offset (``_unpack``) are g, with a zero top digit.  The spare
+    digit makes room for any f's candidate: at n = (len(cs) + 3) // 2 digits,
+    isqrt(f(X)) < X^n / 32 beside an offset below 0.51 * X^n, as f(X) <= |f|
+    * X^(len(cs) - 1) and |f| < X^2 / 4.  An f with f(X) < 0 is no square; its
+    candidate is 0.
+    """
+    w = isqrt(sum(map(abs, cs))).bit_length() // 8 + 1
+    value, k = 0, 8 * w
+    for c in reversed(cs):
+        value = (value << k) + c
+    return _unpack(isqrt(max(value, 0)), w, (len(cs) + 3) // 2)
 
 
 def product(a, b) -> list:

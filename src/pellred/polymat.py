@@ -146,15 +146,6 @@ class PolyMatrix:
             coeffs = dots([(toeplitz[i::-1], coeffs) for i in range(k + 2)])
         return tuple(reversed(coeffs))
 
-    # -- JSON form -------------------------------------------------------------
-
-    def to_json(self) -> list:
-        return [[e.to_json() for e in row] for row in self.rows]
-
-    @classmethod
-    def from_json(cls, data) -> PolyMatrix:
-        return cls([[Poly.from_json(e) for e in row] for row in data])
-
 
 def _det_cofactor(rows) -> Poly:
     if len(rows) == 1:

@@ -6,13 +6,15 @@ positive int with ``gcd(den, *num) == 1`` (``den == 1`` for the zero
 polynomial), as in FLINT's ``fmpq_poly``.  With that canonical form,
 equality is structural, integrality is ``den == 1`` and every kernel runs on
 ints only.  ``coeffs`` is the int/Fraction view of the same value, built on
-access.  Only this module reads ``num`` and ``den``.  Polynomials are
-immutable values: ``Poly(p)`` is ``p`` itself, and every operation returns a
-canonical polynomial.
+access.  Outside this module only ``pell2.verify`` reads ``num`` and
+``den``, to hand them to ``kernels.point_test``.  Polynomials are immutable
+values: ``Poly(p)`` is ``p`` itself, and every operation returns a canonical
+polynomial.
 
-Products run on the integer numerators through the two calls of
-``pellred.kernels``: ``Poly.__mul__`` makes one ``kernels.product`` call, and
-``dots`` one ``kernels.sums_of_products`` call per batch.
+Products and square roots run on the integer numerators through three calls
+of ``pellred.kernels``: ``Poly.__mul__`` makes one ``kernels.product`` call,
+``dots`` one ``kernels.sums_of_products`` call per batch, and ``Poly.sqrt``
+one ``kernels.square_root`` call.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import add, mul, neg, sub
 
-from .kernels import product, sums_of_products
+from .kernels import product, square_root, sums_of_products
 
 #: Degree of the zero polynomial.  A real sentinel (not -1) so that degree
 #: comparisons work and it never equals a real degree.  Arithmetic on it is
@@ -406,37 +408,13 @@ class Poly:
     def sqrt(self) -> Poly | None:
         """Integer polynomial square root with positive leading coefficient.
 
-        Returns g with g*g == self if one exists in Z[x], else None.  The
-        candidate is built coefficient-by-coefficient from the top and then
-        verified by squaring, so a None answer is definitive.
+        Returns g with g*g == self if one exists in Z[x], else None (so for
+        every rational self).  The candidate is one ``kernels.square_root``
+        call on the numerator, verified by squaring, so a None answer is
+        definitive.
         """
-        if self.den != 1:
-            return None
-        cs = self.num
-        if not cs:
-            return ZERO
-        deg = len(cs) - 1
-        if deg % 2:
-            return None
-        lc = cs[-1]
-        if lc < 0:
-            return None
-        root = isqrt(lc)
-        if root * root != lc:
-            return None
-        half = deg // 2
-        g = [0] * (half + 1)
-        g[half] = root
-        for j in range(half - 1, -1, -1):
-            acc = cs[j + half]
-            for a in range(j + 1, half):
-                acc -= g[a] * g[j + half - a]
-            q, rem = divmod(acc, 2 * root)
-            if rem:
-                return None
-            g[j] = q
-        cand = _make(tuple(g), 1)
-        return cand if cand * cand == self else None
+        root = _reduce(square_root(self.num), 1)
+        return root if root * root == self else None
 
     # -- text and JSON forms -------------------------------------------------
 

@@ -67,9 +67,10 @@ class TestKernelBoundary:
                     assert not private, (path.name, private)
 
     def test_each_module_imports_its_kernel_calls(self):
-        # polyring multiplies through the product and batch calls, pell2.verify
-        # asks the point test, and no other module reaches pellred.kernels:
-        # packing, radix and route stay inside it.
+        # polyring multiplies through the product and batch calls and takes
+        # square roots through the root call, pell2.verify asks the point
+        # test, and no other module reaches pellred.kernels: packing, radix
+        # and route stay inside it.
         imported = {}
         for path in sorted((ROOT / "src" / "pellred").glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -78,4 +79,20 @@ class TestKernelBoundary:
                 elif isinstance(node, (ast.Import, ast.ImportFrom)):
                     names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
                     assert not any(name.endswith("kernels") for name in names), (path.name, names)
-        assert imported == {"polyring.py": {"product", "sums_of_products"}, "pell2.py": {"point_test"}}
+        assert imported == {
+            "polyring.py": {"product", "square_root", "sums_of_products"},
+            "pell2.py": {"point_test"},
+        }
+
+    def test_only_verify_reads_num_and_den_outside_polyring(self):
+        # Poly's parts are read by its own module and by pell2.verify, which
+        # hands them to kernels.point_test; other modules use Poly's operations.
+        readers = set()
+        for path in sorted((ROOT / "src" / "pellred").glob("*.py")):
+            if path.name == "polyring.py":
+                continue
+            for top in ast.parse(path.read_text(), str(path)).body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Attribute) and node.attr in ("num", "den"):
+                        readers.add((path.name, getattr(top, "name", None)))
+        assert readers == {("pell2.py", "verify")}

@@ -275,9 +275,3 @@ class TestCharPoly:
             for j, c in enumerate(cp):
                 total = total + c * t**j
             assert total == shifted.det()
-
-
-class TestJson:
-    def test_roundtrip(self):
-        m = PolyMatrix([[Z, A], [1, Z]])
-        assert PolyMatrix.from_json(m.to_json()) == m

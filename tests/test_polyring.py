@@ -7,6 +7,7 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 from unittest import mock
 
 import pytest
@@ -215,6 +216,66 @@ class TestRingAxioms:
         assert a.square() == a * a
 
 
+def reference_sqrt(p: Poly) -> Poly | None:
+    """The integer square root of p with positive leading coefficient, or None,
+    by the coefficient recurrence ``Poly.sqrt`` used before its one kernel
+    call: the root's top coefficient is isqrt of p's, and each next one down is
+    what is left of p's coefficient, divided by twice the top one."""
+    if p.den != 1:
+        return None
+    cs = p.num
+    if not cs:
+        return ZERO
+    deg = len(cs) - 1
+    if deg % 2:
+        return None
+    lc = cs[-1]
+    if lc < 0:
+        return None
+    root = isqrt(lc)
+    if root * root != lc:
+        return None
+    half = deg // 2
+    g = [0] * (half + 1)
+    g[half] = root
+    for j in range(half - 1, -1, -1):
+        acc = cs[j + half]
+        for a in range(j + 1, half):
+            acc -= g[a] * g[j + half - a]
+        q, rem = divmod(acc, 2 * root)
+        if rem:
+            return None
+        g[j] = q
+    cand = Poly(g)
+    return cand if cand * cand == p else None
+
+
+@st.composite
+def sqrt_inputs(draw):
+    """Squares of roots of degree up to 40 with coefficients up to 2^300 of
+    either sign, and near misses: squares tampered by a small monomial,
+    negated, doubled, divided by an integer, or times x (odd degree, yet a
+    square value at every even power of two), and random odd-degree ones."""
+    bits = draw(st.sampled_from([1, 8, 64, 300]))
+    coeff = st.integers(min_value=-(1 << bits), max_value=1 << bits)
+    f = Poly(draw(st.lists(coeff, max_size=41))).square()
+    kind = draw(st.sampled_from(["square", "tampered", "negated", "doubled", "rational", "times x", "odd"]))
+    if kind == "tampered":
+        f += draw(st.sampled_from([-2, -1, 1, 2])) * X ** draw(st.integers(0, max(f.degree, 0)))
+    elif kind == "negated":
+        f = -f
+    elif kind == "doubled":
+        f = 2 * f
+    elif kind == "rational":
+        f = f / draw(st.integers(min_value=2, max_value=9))
+    elif kind == "times x":
+        f = f * X
+    elif kind == "odd":
+        degree = 2 * draw(st.integers(min_value=0, max_value=19)) + 1
+        f = Poly(draw(st.lists(coeff, min_size=degree, max_size=degree)) + [draw(coeff.filter(bool))])
+    return f
+
+
 class TestSqrt:
     def test_perfect_square(self):
         assert Poly("x^4+2x^2+1").sqrt() == Poly("x^2+1")
@@ -223,6 +284,11 @@ class TestSqrt:
         assert Poly("x^2+1").sqrt() is None
         assert Poly("-x^2").sqrt() is None
         assert Poly("2x^2").sqrt() is None
+        # Square values at x = 256, whose roots 2^15 - 2^7 and 2^12 need
+        # the kernel's spare digit: at one digit per root coefficient, their
+        # half-range offset would carry out of the top one.
+        assert Poly("16256x^2+64x").sqrt() is None
+        assert Poly("x^3").sqrt() is None
 
     def test_verified_by_squaring(self):
         assert Poly("4x^6-4x^3+1").sqrt() == Poly("2x^3-1")
@@ -238,6 +304,45 @@ class TestSqrt:
         assert root is not None
         assert root == p or root == -p
         assert root.leading >= 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(sqrt_inputs())
+    def test_matches_the_coefficient_recurrence(self, f):
+        assert f.sqrt() == reference_sqrt(f)
+
+    def test_roots_past_a_byte_boundary(self):
+        # Root coefficients at and just past 2^(8t-1), the half range of a
+        # t-byte digit, with up to 8 of them: the Parseval bound isqrt(|f|)
+        # then has 8t to 8t+3 bits, so the root is read at t+1 bytes, and at
+        # t bytes these digits would be misread.
+        rng = random.Random(26)
+        for t in range(1, 5):
+            edge = 1 << (8 * t - 1)
+            for length in range(1, 9):
+                for _ in range(4):
+                    g = [rng.choice((-1, 1)) * (edge + rng.randint(0, 2)) for _ in range(length)]
+                    g = Poly(g[:-1] + [abs(g[-1])])
+                    f = g.square()
+                    assert isqrt(sum(map(abs, f.num))).bit_length() in range(8 * t, 8 * t + 4)
+                    assert f.sqrt() == g == reference_sqrt(f)
+                    assert (f + 1).sqrt() is None
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+    def test_root_past_the_digit_limit(self):
+        # isqrt(|f|) >= 2^300 here, so f is read at x = 2^(8w) > 2^300, where
+        # f(x) = g(x)^2 > x^80 / 4 has more than 7000 decimal digits: past
+        # the default int/str limit of 4300, and under the lowest limit there
+        # is, the root converts nothing to text.
+        g = Poly([(-1) ** i * ((1 << 300) - i) for i in range(41)])
+        f = g.square()
+        assert 2 ** (300 * f.degree - 2) > 10**7000
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert f.sqrt() == g
+            assert (f - 1).sqrt() is None
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestTextFormat:
