@@ -16,6 +16,7 @@ from .polyring import (
 )
 from .polymat import DimensionMismatch, PolyMatrix, build_circulant
 from .redei import (
+    AnswerTooLarge,
     GenRedeiVec,
     InvalidIndex,
     RedeiPair,

@@ -4,17 +4,17 @@ Four calls are the way in: ``product`` for one product, ``sums_of_products``
 for a batch of sums of products, ``point_test`` for the exact zero test of a
 Pell residual at one binary point, and ``square_root`` for a polynomial's
 square root, one integer square root at one binary point.  Behind them sit
-schoolbook products (the symmetric half for a square), Kronecker
-substitution of a whole sum of products at a binary or a decimal radix, one
-rule that reads a binary value back into coefficients, and ``_kernel``, the
-one rule that picks among the products: schoolbook or Kronecker from the
-lengths alone, and Kronecker's radix from the shorter length and a bound on
-the coefficient bits.  A batch scans and packs each operand it shares
-between sums once, and its binary sums share the widest radix.  ``polyring``
-runs ``Poly`` products and ``dots`` through the first two calls on its
-numerators and ``Poly.sqrt`` through the fourth, and ``pell2.verify`` asks
-the third; nothing here sees a ``Poly``.  Decimal packing is capped at 640
-digits, about 2100-bit product coefficients; wider ones stay binary.
+the schoolbook product, Kronecker substitution of a whole sum of products at
+a binary or a decimal radix, one rule that reads a binary value back into
+coefficients, and ``_kernel``, the one rule that picks among the products:
+schoolbook or Kronecker from the lengths alone, and Kronecker's radix from
+the shorter length and a bound on the coefficient bits.  A batch packs each
+operand it shares between sums once, and its binary sums share the widest
+radix.  ``polyring`` runs ``Poly`` products and ``dots`` through the first
+two calls on its numerators and ``Poly.sqrt`` through the fourth, and
+``pell2.verify`` asks the third; nothing here sees a ``Poly``.  Decimal
+packing is capped at 640 digits, about 2100-bit product coefficients; wider
+ones stay binary.
 
 The kernels are a module of their own because compiling a module from
 source holds its whole syntax tree at once: with them inside, polyring.py
@@ -60,13 +60,13 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Ro
 _SCHOOLBOOK = (0, 0)
 
 
-def _kernel(short: int, xs, ys, tops=None) -> tuple[int, int]:
+def _kernel(short: int, xs, ys) -> tuple[int, int]:
     """The kernel for the sum of x*y over the pairs of integer coefficient
     sequences ``xs`` and ``ys``, whose largest shorter operand length is
     ``short``: ``(0, 0)`` for schoolbook, else ``(bits, j)`` for Kronecker
     substitution with bit bound ``bits`` at radix 10^j, or in binary where j
     is 0.  A sum of several pairs weighs the schoolbook work of all of them,
-    as it unpacks only once.  ``tops`` is ``_kronecker_bits``'s scan memo.
+    as it unpacks only once.
 
     This is the package's one kernel rule: ``product``, ``sums_of_products``
     and ``point_test`` (so ``pell2.verify``'s route) all ask it.  It
@@ -74,34 +74,17 @@ def _kernel(short: int, xs, ys, tops=None) -> tuple[int, int]:
     """
     if short < KRONECKER_FLOOR or sum(map(mul, map(len, xs), map(len, ys))) < KRONECKER_MIN_WORK:
         return _SCHOOLBOOK
-    bits = _kronecker_bits(xs, ys, tops)
+    bits = _kronecker_bits(xs, ys)
     return bits, _decimal_digits(short, bits)
 
 
-def _kronecker_bits(xs, ys, tops=None) -> int:
+def _kronecker_bits(xs, ys) -> int:
     """A bit bound on every coefficient of the sum of x*y over the pairs of
     xs and ys: the largest sum, over the pairs, of the bit lengths of the
     largest coefficient of x and of y, plus the bit length of the sum of the
-    pairs' shorter lengths.
-
-    Each operand is scanned once: a square's (y is x) within the sum, and
-    any operand within a batch of sums that share the dict ``tops``, which
-    maps ``id`` of an operand to its largest coefficient's bit length.  Its
-    operands must stay alive while ``tops`` is in use.
-    """
-    if tops is None:
-        tops = {}
-    top = count = 0
-    for x, y in zip(xs, ys):
-        top_x = tops.get(id(x))
-        if top_x is None:
-            top_x = tops[id(x)] = max(map(abs, x)).bit_length()
-        top_y = tops.get(id(y))
-        if top_y is None:
-            top_y = tops[id(y)] = max(map(abs, y)).bit_length()
-        top = max(top, top_x + top_y)
-        count += min(len(x), len(y))
-    return top + count.bit_length()
+    pairs' shorter lengths."""
+    top = max(max(map(abs, x)).bit_length() + max(map(abs, y)).bit_length() for x, y in zip(xs, ys))
+    return top + sum(map(min, map(len, xs), map(len, ys))).bit_length()
 
 
 #: The most decimal digits j a coefficient takes in a decimal Kronecker
@@ -125,10 +108,7 @@ def _decimal_digits(short: int, bits: int) -> int:
 
 
 def _mul_schoolbook(a, b, out=None) -> list:
-    """a*b, added into ``out`` when it is given (long enough for it); a
-    square (``b is a``) by ``_square_schoolbook``."""
-    if a is b:
-        return _square_schoolbook(a, out)
+    """a*b, added into ``out`` when it is given (long enough for it)."""
     if out is None:
         out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -136,22 +116,6 @@ def _mul_schoolbook(a, b, out=None) -> list:
             for j, cb in enumerate(b, i):
                 if cb:
                     out[j] += ca * cb
-    return out
-
-
-def _square_schoolbook(cs, out=None) -> list:
-    """Schoolbook square doing only the symmetric half of the products,
-    added into ``out`` when it is given."""
-    if out is None:
-        out = [0] * (2 * len(cs) - 1)
-    for i, ci in enumerate(cs):
-        if ci:
-            out[2 * i] += ci * ci
-            twice = ci * 2
-            for j in range(i + 1, len(cs)):
-                cj = cs[j]
-                if cj:
-                    out[i + j] += twice * cj
     return out
 
 
@@ -274,6 +238,7 @@ def point_test(ps, qs, ds, e: int, ll: int) -> bool | None:
     read for that while even ``_DECIMAL_MAX_BITS`` would not pack the
     operand to the cut-off.
     """
+    # Lengths before the scan: skipping it pays on the sweep's many short verifies.
     for cs in (ps, qs):
         if _decimal_digits(len(cs), _DECIMAL_MAX_BITS) and _kernel(len(cs), (cs,), (cs,))[1]:
             return None
@@ -318,8 +283,8 @@ def square_root(cs) -> list:
 
 def product(a, b) -> list:
     """a*b for nonempty integer coefficient sequences a and b, trailing zeros
-    included: ``_kernel``'s kernel for the one pair, a square when ``b is a``.
-    ``Poly.__mul__`` reaches the kernels through this call alone."""
+    included: ``_kernel``'s kernel for the one pair.  ``Poly.__mul__``
+    reaches the kernels through this call alone."""
     bits, j = _kernel(len(a) if len(a) <= len(b) else len(b), (a,), (b,))
     return _kronecker((a,), (b,), bits, j) if bits else _mul_schoolbook(a, b)
 
@@ -333,16 +298,15 @@ def sums_of_products(sums) -> list:
     Each sum takes the kernel ``_kernel`` picks for it alone: Kronecker
     (every pair packed at one radix, the int products summed, the sum
     unpacked once) or schoolbook products accumulated into one int list.
-    The batch scans each operand for its bit size once, and its binary
-    Kronecker sums share the widest radix, at which each operand is packed
-    once; a decimal sum keeps its own.
+    The batch's binary Kronecker sums share the widest radix, at which each
+    operand is packed once; a decimal sum keeps its own.
 
-    Both memos are keyed by ``id``, which is the one contract: the batch it
+    The pack memo is keyed by ``id``, which is the one contract: the batch it
     is given holds every operand until the call returns.
     """
-    out, tops, kronecker = [], {}, []
+    out, kronecker = [], []
     for xs, ys in sums:
-        bits, j = _kernel(max(map(min, map(len, xs), map(len, ys))), xs, ys, tops)
+        bits, j = _kernel(max(map(min, map(len, xs), map(len, ys))), xs, ys)
         if bits:
             kronecker.append((len(out), xs, ys, bits, j))
             out.append(None)

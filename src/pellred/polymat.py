@@ -5,7 +5,7 @@ Bareiss with a cofactor fallback for tiny sizes), characteristic polynomials,
 and the twisted-circulant builder used by the degree-m Pell equation.  Every
 sum of products here goes through ``polyring.dots``, which takes one kernel
 for each whole sum, and every matrix operation makes one batch of its sums,
-so that operands they share are scanned and packed once: all entries of a
+so that operands they share are packed once: all entries of a
 product, all cross terms of a Bareiss step, a Berkowitz stage's dots and its
 Toeplitz sums.  A cofactor expansion and each Berkowitz border term are one
 ``polyring.dot``.

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .polyring import DomainError, ONE, Poly, ZERO, decimal_str
+from .polyring import DomainError, ONE, Poly, ZERO, common_denominator, decimal_str
 from .polymat import PolyMatrix, build_circulant
 
 
@@ -32,9 +32,18 @@ from .polymat import PolyMatrix, build_circulant
 #: m = n = 64 already takes about a second.
 MAX_M = 64
 
+#: Largest size, in bits, that ``check_answer_size`` lets an answer's bound
+#: reach (32 MiB).  The largest bound the tests reach is about 2^25.6 bits,
+#: ``redei`` at n = 600 with a 67-bit z.
+MAX_ANSWER_BITS = 1 << 28
+
 
 class InvalidIndex(DomainError):
     """The degree m is outside 2..MAX_M or the index n is negative."""
+
+
+class AnswerTooLarge(DomainError):
+    """The answer at this index is bounded above ``MAX_ANSWER_BITS``."""
 
 
 def check_degree_index(m: int, n: int) -> None:
@@ -44,6 +53,27 @@ def check_degree_index(m: int, n: int) -> None:
         raise InvalidIndex(
             f"need 2 <= m <= {MAX_M} and n >= 0, got m={decimal_str(m)}, n={decimal_str(n)}"
         )
+
+
+def check_answer_size(z: Poly, alpha: Poly, m: int, n: int) -> tuple[int, int]:
+    """The bound (degree, bits) on the index-n vector of z and alpha: each
+    component has degree at most ``degree``, and its denominator and every
+    coefficient of its numerator are at most 2^bits.  Raise AnswerTooLarge,
+    before any product, where m * (degree + 1) * bits passes MAX_ANSWER_BITS.
+
+    (z + y)^n has the terms C(n, k) z^(n-k) alpha^j y^(k mod m), j = k div m,
+    of degree at most n * max(deg z, ceil(deg alpha / m)).  Write z = Z/e and
+    alpha = A/e' with e, e' the common denominators, so Z and A are integer,
+    and |.| for the 1-norm.  Over the denominator e^n e'^(n div m), a term's
+    numerator has 1-norm at most C(n, k) |Z|^(n-k) e^k (|A| + e')^(n div m),
+    and these sum to at most (|Z| + e)^n (|A| + e')^n <= 2^bits, where
+    |Z| + e = e * (|z| + 1).  Reducing the fraction only divides.
+    """
+    degree = n * max(len(z.coeffs) - 1, -(-(len(alpha.coeffs) - 1) // m))
+    bits = n * sum(int(common_denominator(p) * (sum(map(abs, p.coeffs)) + 1)).bit_length() for p in (z, alpha))
+    if m * (degree + 1) * bits > MAX_ANSWER_BITS:
+        raise AnswerTooLarge(f"the answer at this index may take more than {MAX_ANSWER_BITS} bits")
+    return degree, bits
 
 
 @dataclass(frozen=True)
@@ -83,6 +113,7 @@ def gen_redei(z, alpha, m: int, n: int) -> GenRedeiVec:
     """The vector as the first column of the n-th step-matrix power."""
     check_degree_index(m, n)
     z, alpha = Poly(z), Poly(alpha)
+    check_answer_size(z, alpha, m, n)
     power = step_matrix(z, alpha, m).pow(n)
     return GenRedeiVec(m, n, z, alpha, power.column(0))
 
@@ -113,6 +144,7 @@ def gen_redei_sequence(z, alpha, m: int, n_max: int) -> list[GenRedeiVec]:
     """
     check_degree_index(m, n_max)
     z, alpha = Poly(z), Poly(alpha)
+    check_answer_size(z, alpha, m, n_max)
     comp = [ONE] + [ZERO] * (m - 1)
     out = [GenRedeiVec(m, 0, z, alpha, tuple(comp))]
     if m == 2:
@@ -140,6 +172,7 @@ def gen_redei_oracle(z, alpha, m: int, n: int) -> GenRedeiVec:
     """
     check_degree_index(m, n)
     z, alpha = Poly(z), Poly(alpha)
+    check_answer_size(z, alpha, m, n)
     z_pow = [ONE]
     for _ in range(n):
         z_pow.append(z_pow[-1] * z)
@@ -203,12 +236,15 @@ def norm_power(base: int, m: int, n: int) -> int | None:
 
     This is the normalizer that turns a Redei vector whose norm is base^n
     into a solution of norm 1.  It is rational exactly when m divides n or
-    base is a perfect m-th power (of either sign for odd m).
+    base is a perfect m-th power (of either sign for odd m).  Raises
+    AnswerTooLarge, before the power, where it passes MAX_ANSWER_BITS bits:
+    |base|^(n/m) >= 2^((b - 1) * n / m), b the bit length of |base|.
     """
     check_degree_index(m, n)
-    if n % m == 0:
-        return base ** (n // m)
-    k = _iroot(abs(base), m)
-    if k**m != abs(base) or (base < 0 and m % 2 == 0):
-        return None
-    return (k if base > 0 else -k) ** n
+    if n % m:
+        k = _iroot(abs(base), m)
+        if k**m != abs(base) or (base < 0 and m % 2 == 0):
+            return None
+    if (abs(base).bit_length() - 1) * n > m * MAX_ANSWER_BITS:
+        raise AnswerTooLarge(f"the normalizer at this index takes more than {MAX_ANSWER_BITS} bits")
+    return base ** (n // m) if n % m == 0 else (k if base > 0 else -k) ** n

@@ -315,6 +315,10 @@ GOLDEN = [
     ("identify --P 2 --Q 1 -f x -d 1", 1, "", "", "NotASolution: P^2 - (f^2+d)*Q^2 != 1\n"),
     ("solve-m -f x -r 1 -m 1 -n 1", 1, "", "",
      "InvalidIndex: need 2 <= m <= 64 and n >= 0, got m=1, n=1\n"),
+    ("redei --alpha x --z 1 -n 1000000000000", 1, "", "",
+     "AnswerTooLarge: the answer at this index may take more than 268435456 bits\n"),
+    ("solve -f x -d -4 -n 1000000000000", 1, "", "",
+     "AnswerTooLarge: the normalizer at this index takes more than 268435456 bits\n"),
     ("redei --alpha x^^2 --z x -n 2", 2, "", "", "ParseError: expected exponent digits (at position 2)\n"),
     ("redei --alpha x", 2, "", "",
      "usage: pellred redei [-h] [--json] --alpha POLY --z POLY -n N\n"
@@ -552,6 +556,33 @@ class TestBigIntegers:
         assert main([a.format(self.DIGITS) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"{name}: ") and self.DIGITS in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["redei", "--alpha", "x", "--z", "1", "-n", "1000000000000"],
+            ["redei", "--alpha", "x", "--z", "1", "-n", DIGITS],
+            ["table", "--alpha", "x", "--z", "1", "--n-max", DIGITS],
+            ["solve-m", "-f", "x", "-r", "1", "-m", "3", "-n", DIGITS],
+            ["probe", "-f", "x", "-m", "3", "--n-max", DIGITS],
+            ["solve", "-f", "x", "-d", "-4", "-n", DIGITS[:-1] + "2"],
+        ],
+        ids=["redei-1e12", "redei", "table", "solve-m", "probe", "solve"],
+    )
+    def test_huge_index_is_refused_up_front(self, argv):
+        # Only the child runs under the address-space limit: a run that set
+        # out to build the answer would fail there fast, not fill the machine.
+        resource = pytest.importorskip("resource")
+        limit = 512 * 2**20
+        src = str(Path(pellred.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "pellred", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (run.returncode, run.stdout) == (1, "")
+        assert run.stderr.startswith("AnswerTooLarge: ")
 
 
 # -- fuzzing main() with random argv --------------------------------------------

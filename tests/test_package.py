@@ -57,7 +57,7 @@ class TestEntryPoint:
 class TestKernelBoundary:
     def test_only_kernels_reads_its_private_names(self):
         # The rest of the package reaches pellred.kernels through its public
-        # calls, so the kernel rule and the batch memos stay inside it.
+        # calls, so the kernel rule and the batch's pack memo stay inside it.
         for path in sorted((ROOT / "src" / "pellred").glob("*.py")):
             if path.name == "kernels.py":
                 continue

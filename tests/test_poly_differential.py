@@ -14,7 +14,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pellred.kernels import KRONECKER_FLOOR, _mul_schoolbook, _square_schoolbook
+from pellred.kernels import KRONECKER_FLOOR, _mul_schoolbook
 from pellred.polyring import ONE, Poly, decimal_str, format_poly
 
 
@@ -63,7 +63,7 @@ class RefPoly:
         return self * (Fraction(1) / scalar)
 
     def square(self):
-        return RefPoly(_square_schoolbook(self.coeffs) if self.coeffs else ())
+        return RefPoly(_mul_schoolbook(self.coeffs, list(self.coeffs)) if self.coeffs else ())
 
     def __divmod__(self, other):
         da, db = len(self.coeffs) - 1, len(other.coeffs) - 1

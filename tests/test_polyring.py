@@ -26,7 +26,6 @@ from pellred.kernels import (
     _kronecker_bits,
     _kronecker_decimal,
     _mul_schoolbook,
-    _square_schoolbook,
     kronecker_pack,
     point_test,
 )
@@ -529,7 +528,7 @@ class TestKronecker:
     @settings(max_examples=60, deadline=None)
     @given(any_length)
     def test_square_matches_schoolbook(self, a):
-        assert kronecker_product(a, a) == _square_schoolbook(a)
+        assert kronecker_product(a, a) == _mul_schoolbook(a, list(a))
 
     def test_extreme_coefficients(self):
         # All coefficients at +-2^k make every product coefficient reach the
@@ -539,7 +538,7 @@ class TestKronecker:
                 a = [sign * 2**k] * ALWAYS_KRONECKER
                 b = [-(2**k)] * (ALWAYS_KRONECKER + 3)
                 assert kronecker_product(a, b) == _mul_schoolbook(a, b)
-                assert kronecker_product(a, a) == _square_schoolbook(a)
+                assert kronecker_product(a, a) == _mul_schoolbook(a, list(a))
 
     def test_fraction_operands_match_schoolbook(self):
         # Rational operands go through the kernel on their integer numerators.
@@ -574,7 +573,7 @@ def by_kernel(a, b, cutoff):
 
 
 def schoolbook(a, b):
-    return _square_schoolbook(a) if a is b else _mul_schoolbook(a, b)
+    return _mul_schoolbook(a, list(b))
 
 
 def operand(rng, length, k, pattern) -> list:
@@ -643,7 +642,7 @@ class TestDecimalKronecker:
         for sign in (1, -1):
             a = [sign * ((1 << k) - 1)] * length
             j = least_digits(product_bits(a, a))
-            want = _square_schoolbook(a)
+            want = _mul_schoolbook(a, list(a))
             assert max(map(abs, want)) >= 5 * 10 ** (j - 2)
             for b in (a, list(a)):
                 out, digits = by_kernel(a, b, 0)
@@ -661,7 +660,7 @@ class TestDecimalKronecker:
                 a = [(-1) ** i * ((1 << k) - 1 - i) for i in range(255)]
                 out, digits = by_kernel(a, a, pellred.kernels.KRONECKER_DECIMAL_MIN_BITS)
                 assert digits == path
-                assert out == _square_schoolbook(a)
+                assert out == _mul_schoolbook(a, list(a))
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -686,7 +685,7 @@ class TestDecimalKronecker:
         with mock.patch.object(pellred.kernels, "_kronecker_decimal", wraps=_kronecker_decimal) as spy:
             square, product = p * p, p * q
         assert spy.call_count == 2
-        assert square.num == tuple(_square_schoolbook(p.num))
+        assert square.num == tuple(_mul_schoolbook(p.num, list(p.num)))
         assert product == Poly(_mul_schoolbook(p.num, q.num)) / 3
 
 
@@ -805,7 +804,7 @@ class TestKernelChoice:
         a, _ = shaped(n, n, bits)
         assert _kernel(n, (a,), (a,)) == ((_kronecker_bits((a,), (a,)), 0) if kronecker else (0, 0))
         p = Poly(a)
-        assert p.square() == Poly(_square_schoolbook(a)) == p * Poly(list(a))
+        assert p.square() == Poly(_mul_schoolbook(a, list(a))) == p * Poly(list(a))
 
     def test_sums_count_the_work_of_every_pair(self):
         # One 10 x 12 product is below the least work; three are not.
@@ -1047,8 +1046,8 @@ class TestDots:
         def poly(length, top):
             return Poly([rng.randrange(-(2**top), 2**top) for _ in range(length - 1)] + [1])
 
-        # Equal lengths with unequal coefficient sizes, so a scan or pack
-        # remembered for the wrong operand would show.
+        # Equal lengths with unequal coefficient sizes, so a pack remembered
+        # for the wrong operand would show.
         shapes = [(3, 5), (12, 20), (12, 200), (20, 40), (24, 8), (32, 90), (32, 700), (40, 300), (DECIMAL_LENGTH, 1000)]
         pool = [poly(n, top) for n, top in shapes]
         windows = range(len(pool) - 2)
@@ -1056,19 +1055,11 @@ class TestDots:
         sums += [([x, x], [x, y]) for x in pool for y in pool]
         taken = {}
 
-        def ask(short, xs, ys, tops=None):
-            kernel = _kernel(short, xs, ys, tops)
-            assert kernel == _kernel(short, xs, ys)  # the batch's scans change nothing
-            return kernel
-
         def record(xs, ys, bits, j, packs=None):
             taken[tuple(xs), tuple(ys)] = bits, j
             return _kronecker(xs, ys, bits, j, packs)
 
-        with (
-            mock.patch.object(pellred.kernels, "_kernel", side_effect=ask),
-            mock.patch.object(pellred.kernels, "_kronecker", side_effect=record),
-        ):
+        with mock.patch.object(pellred.kernels, "_kronecker", side_effect=record):
             got = dots(sums)
         assert got == [reference_dot(xs, ys) for xs, ys in sums]
         alone = [lone_kernel(xs, ys) for xs, ys in sums]
@@ -1156,12 +1147,26 @@ def kernel_batches(draw):
 
 
 class TestKernelCalls:
-    """The two public kernel calls against schoolbook, sum by sum."""
+    """The two public kernel calls against schoolbook, sum by sum, and the
+    bit bound that sets their radix."""
 
     @settings(max_examples=80, deadline=None)
     @given(kernel_batches())
     def test_batch_matches_schoolbook_per_sum(self, sums):
         assert sums_of_products(sums) == [schoolbook_sum(xs, ys) for xs, ys in sums]
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_batches())
+    def test_bit_bound_is_the_per_pair_reference(self, sums):
+        # The largest, over the pairs, of product_bits less its length term,
+        # plus the bits of the summed shorter lengths; no coefficient of the
+        # sum reaches it.
+        for xs, ys in sums:
+            shorter = [min(len(x), len(y)) for x, y in zip(xs, ys)]
+            top = max(product_bits(x, y) - n.bit_length() for x, y, n in zip(xs, ys, shorter))
+            bits = _kronecker_bits(xs, ys)
+            assert bits == top + sum(shorter).bit_length()
+            assert max(map(abs, schoolbook_sum(xs, ys))) < 1 << bits
 
     def test_batch_takes_every_kernel(self):
         # One batch with a schoolbook, a binary and a decimal sum, a square
@@ -1179,7 +1184,7 @@ class TestKernelCalls:
     @given(any_length, any_length)
     def test_product_matches_schoolbook(self, a, b):
         assert product(a, b) == schoolbook_sum([a], [b])
-        assert product(a, a) == schoolbook_sum([a], [a]) == _square_schoolbook(a)
+        assert product(a, a) == schoolbook_sum([a], [a])
 
 
 class TestIntegerDivision:

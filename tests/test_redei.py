@@ -4,7 +4,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pellred.polyring import ONE, Poly, X, ZERO
+import pellred.redei
 from pellred.redei import (
+    AnswerTooLarge,
     GenRedeiVec,
     InvalidIndex,
     RedeiPair,
@@ -17,6 +19,7 @@ from pellred.redei import (
     redei_matrix,
     redei_recurrence,
     redei_sequence,
+    check_answer_size,
     step_matrix,
 )
 
@@ -285,3 +288,45 @@ class TestNormPower:
         assert norm_power(k**2 + 1, 2, 1) is None
         assert norm_power(-(k**5), 5, 3) == -(k**3)
         assert norm_power(10**400 + 1, 3, 1) is None
+
+
+rationals = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=4).map(Poly)
+
+
+class TestAnswerSize:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(inputs, rationals), st.one_of(inputs, rationals), st.integers(2, 4), st.integers(0, 9))
+    def test_bound_holds(self, z, alpha, m, n_max):
+        for vec in gen_redei_sequence(z, alpha, m, n_max):
+            degree, bits = check_answer_size(z, alpha, m, vec.n)
+            for a in vec.A:
+                assert a.degree <= degree
+                assert a.den <= 1 << bits and all(abs(c) <= 1 << bits for c in a.num)
+
+    def test_refused_past_the_budget(self, monkeypatch):
+        # x+1 and x at m = 2, n = 5: degree 5 and 5 * (2 + 2) bits, 2 * 6 * 20 = 240.
+        z, alpha = Poly("x+1"), X
+        calls = [
+            lambda: gen_redei(z, alpha, 2, 5),
+            lambda: gen_redei_sequence(z, alpha, 2, 5),
+            lambda: gen_redei_oracle(z, alpha, 2, 5),
+            lambda: redei_recurrence(alpha, z, 5),
+        ]
+        monkeypatch.setattr(pellred.redei, "MAX_ANSWER_BITS", 240)
+        assert check_answer_size(z, alpha, 2, 5) == (5, 20)
+        for call in calls:
+            call()
+        monkeypatch.setattr(pellred.redei, "MAX_ANSWER_BITS", 239)
+        for call in calls + [lambda: check_answer_size(z, alpha, 2, 5)]:
+            with pytest.raises(AnswerTooLarge):
+                call()
+
+    def test_normalizer_refused_before_the_power(self, monkeypatch):
+        monkeypatch.setattr(pellred.redei, "MAX_ANSWER_BITS", 64)
+        assert norm_power(4, 2, 64) == 2**64
+        for n in (65, 66, 10**5000):
+            with pytest.raises(AnswerTooLarge):
+                norm_power(4, 2, n)
+        # Powers of +-1 stay one bit, and an irrational one is None, at any n.
+        assert norm_power(1, 2, 10**5000) == 1 and norm_power(-1, 3, 10**5000 + 1) == -1
+        assert norm_power(2, 2, 10**5000 + 1) is None
