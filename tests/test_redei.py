@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pellred.polyring import ONE, Poly, X, ZERO
 import pellred.redei
+from pellred.polyring import ONE, Poly, X, ZERO
 from pellred.redei import (
     AnswerTooLarge,
     GenRedeiVec,
     InvalidIndex,
     RedeiPair,
+    check_answer_size,
     gen_redei,
     gen_redei_oracle,
     gen_redei_sequence,
@@ -19,7 +20,6 @@ from pellred.redei import (
     redei_matrix,
     redei_recurrence,
     redei_sequence,
-    check_answer_size,
     step_matrix,
 )
 
