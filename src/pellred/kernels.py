@@ -5,7 +5,9 @@ for a batch of sums of products, ``point_test`` for the exact zero test of a
 Pell residual at one binary point, and ``square_root`` for a polynomial's
 square root, one integer square root at one binary point.  Behind them sit
 the schoolbook product, Kronecker substitution of a whole sum of products at
-a binary or a decimal radix, one rule that reads a binary value back into
+a binary radix, with a half-range offset on each coefficient, or at a
+decimal one, with signed coefficients entering by borrows and leaving as
+balanced digits, one rule that reads a binary value back into
 coefficients, and ``_kernel``, the one rule that picks among the products:
 schoolbook or Kronecker from the lengths alone, and Kronecker's radix from
 the shorter length and a bound on the coefficient bits.  A batch packs each
@@ -166,11 +168,14 @@ def _kronecker(xs, ys, bits: int, j: int, packs=None) -> list:
       (``sys.int_info.str_digits_check_threshold``), so no limit setting can
       make it raise.  Wider coefficients, past about 2100 bits, stay binary.
 
-    Either way each coefficient is stored with the half-range offset of its
-    digit (2^(8w-1), or 5*10^(j-1)) added, so every digit is non-negative,
-    and the offset is subtracted again as one number.  As every coefficient
-    of the sum lies strictly inside that half range, the same offset also
-    unpacks it.
+    In binary each coefficient is stored with the half-range offset 2^(8w-1)
+    of its digit added, so every digit is non-negative, and the offset is
+    subtracted again as one number; as every coefficient of the sum lies
+    strictly inside that half range, the same offset also unpacks it.  In
+    decimal no offset number is built: each operand's text is its exact
+    value at 10^j, a negative coefficient borrowing one from the block above,
+    and the sum is read back in balanced digits, a block at or above half of
+    10^j standing for itself minus 10^j (``_kronecker_decimal``).
 
     Each binary operand is packed once: a square's within the sum, and any
     operand within a batch of sums at one ``bits`` that share the dict
@@ -196,22 +201,39 @@ def _kronecker(xs, ys, bits: int, j: int, packs=None) -> list:
 
 
 def _kronecker_decimal(xs, ys, j: int, size: int) -> list:
-    # Every operand and sum coefficient c has |c| < 2^bits < 10^(j-1), so
-    # c + half has exactly j digits: blocks need no padding, and the text of
-    # the offset sum is exactly j * size digits, most significant first.
-    half = 5 * 10 ** (j - 1)
-    offset = str(half)
+    # Each operand is packed as its exact value at 10^j: a negative
+    # coefficient borrows one from the next j-digit block, and a borrow out of
+    # the top block is subtracted as one scaled power of ten.  Every operand
+    # and sum coefficient c has |c| < 2^bits < 10^(j-1), so each block is
+    # below 10^j and the sum's coefficients are its balanced digits, in
+    # [-half, half): read from the lowest block, one at or above half is
+    # itself minus 10^j and carries one into the next.  A negative sum is
+    # read as its absolute value, and the result negated.
+    base = 10**j
+    half = base // 2
 
     def pack(cs):
-        digits = _EXACT.create_decimal("".join([str(c + half) for c in reversed(cs)]))
-        return _EXACT.subtract(digits, _EXACT.create_decimal(offset * len(cs)))
+        blocks, borrow = [], False
+        for c in cs:
+            c -= borrow
+            borrow = c < 0
+            blocks.append(str(c + base if borrow else c).zfill(j))
+        value = _EXACT.create_decimal("".join(reversed(blocks)))
+        return _EXACT.subtract(value, _EXACT.scaleb(1, j * len(cs))) if borrow else value
 
-    total = _EXACT.create_decimal(offset * size)
+    total = 0
     for x, y in zip(xs, ys):
         vx = pack(x)
         total = _EXACT.add(total, _EXACT.multiply(vx, vx if y is x else pack(y)))
     digits = _EXACT.to_sci_string(total)
-    return [int(digits[i - j : i]) - half for i in range(j * size, 0, -j)]
+    negative = digits[0] == "-"
+    digits = digits.lstrip("-").zfill(j * size)
+    out, carry = [], False
+    for i in range(j * size, 0, -j):
+        t = int(digits[i - j : i]) + carry
+        carry = t >= half
+        out.append(t - base if carry else t)
+    return [-c for c in out] if negative else out
 
 
 def point_test(ps, qs, ds, e: int, ll: int) -> bool | None:

@@ -16,7 +16,9 @@ from fractions import Fraction
 from .kernels import point_test
 from .polyring import DomainError, ONE, Poly, X, ZERO, common_denominator, decimal_str
 from .polymat import build_circulant
-from .redei import RedeiPair, check_degree_index, norm_power, redei_recurrence, redei_sequence
+from .redei import (
+    RedeiPair, check_answer_size, check_degree_index, norm_power, redei_recurrence, redei_sequence,
+)
 from .pellm import IrrationalNormalizer, ZeroR, classify_m
 
 
@@ -218,10 +220,15 @@ def nathanson(d: int, n: int) -> tuple[Poly, Poly]:
     For d = -1:
         A'_k = x A'_{k-1} + (x^2 - 1) B'_{k-1},                   A'_0 = 1
         B'_k = A'_{k-1} + x B'_{k-1},                             B'_0 = 0
+
+    The n-th pair is (x + y)^n over y^2 = x^2 - 1 for d = -1, and
+    (x + y)^(2n) / d^n over y^2 = x^2 + d otherwise, so ``check_answer_size``
+    bounds it before the power (AnswerTooLarge).
     """
     check_degree_index(2, n)
     if d not in (1, -1, 2, -2):
         raise UnsupportedD(f"d={decimal_str(d)} is outside {{1, -1, 2, -2}}")
+    check_answer_size(X, X * X + d, 2, n if d == -1 else 2 * n)
     if d == -1:
         diag, lower = X, ONE
     else:

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pellred.pell2
+
 from pellred.polyring import NEG_INF, ONE, Poly, ZERO
 from pellred.pell2 import (
     NotASolution,
@@ -23,7 +25,7 @@ from pellred.pell2 import (
     verify,
 )
 from pellred.pellm import IrrationalNormalizer, ZeroR, classify_m
-from pellred.redei import InvalidIndex, norm_power, redei_recurrence, redei_sequence
+from pellred.redei import AnswerTooLarge, InvalidIndex, norm_power, redei_recurrence, redei_sequence
 
 F_SET = (Poly("x"), Poly("x^2"), Poly("x^3+x"))
 
@@ -394,6 +396,13 @@ class TestNathanson:
     def test_negative_index_rejected(self):
         with pytest.raises(InvalidIndex):
             nathanson(-1, -1)
+
+    def test_huge_index_refused_before_the_power(self, monkeypatch):
+        # The refusal comes before any matrix is built, so it is immediate.
+        monkeypatch.setattr(pellred.pell2, "build_circulant", None)
+        for d in (1, -1, 2, -2):
+            with pytest.raises(AnswerTooLarge):
+                nathanson(d, 10**12)
 
     def test_matches_redei_for_minus_one(self):
         for n in range(16):

@@ -572,6 +572,18 @@ def by_kernel(a, b, cutoff):
     return out, [call.args[2] for call in spy.call_args_list]
 
 
+def sum_by_kernel(xs, ys):
+    """``sums_of_products`` of the one sum of x*y over the pairs of xs and ys
+    with the decimal cut-off at 0, and the digit counts it passed to the
+    decimal path."""
+    with (
+        mock.patch.object(pellred.kernels, "KRONECKER_DECIMAL_MIN_BITS", 0),
+        mock.patch.object(pellred.kernels, "_kronecker_decimal", wraps=_kronecker_decimal) as spy,
+    ):
+        (out,) = sums_of_products([(xs, ys)])
+    return out, [call.args[2] for call in spy.call_args_list]
+
+
 def schoolbook(a, b):
     return _mul_schoolbook(a, list(b))
 
@@ -638,7 +650,8 @@ class TestDecimalKronecker:
     @pytest.mark.parametrize("length, k", [(127, 1056), (255, 1057), (255, 9), (577, 68)])
     def test_products_at_the_digit_bound(self, length, k):
         # All coefficients +-(2^k - 1) of one sign put the middle coefficient
-        # of the square past 5*10^(j-2): one digit fewer would not hold it.
+        # of the square past 5*10^(j-2), half of 10^(j-1): one digit fewer
+        # would not hold it as a balanced digit.
         for sign in (1, -1):
             a = [sign * ((1 << k) - 1)] * length
             j = least_digits(product_bits(a, a))
@@ -647,6 +660,60 @@ class TestDecimalKronecker:
             for b in (a, list(a)):
                 out, digits = by_kernel(a, b, 0)
                 assert digits == [j] and out == want
+
+    def test_sum_that_cancels_to_zero(self):
+        x, y = operand(random.Random(11), 60, 300, "random"), operand(random.Random(12), 70, 300, "random")
+        out, digits = sum_by_kernel((x, [-c for c in x]), (y, y))
+        assert digits and out == [0] * (len(x) + len(y) - 1)
+
+    def test_sum_with_cancelled_top_coefficients(self):
+        # x*y + u*y with u's top five coefficients -x's: the sum's top five
+        # coefficients are zero, so its text is shorter than j * size digits.
+        rng = random.Random(13)
+        x, y = operand(rng, 60, 300, "random"), operand(rng, 50, 300, "random")
+        u = operand(rng, 55, 300, "random") + [-c for c in x[55:]]
+        want = schoolbook_sum((x, u), (y, y))
+        assert want[-5:] == [0] * 5 and want[-6]
+        out, digits = sum_by_kernel((x, u), (y, y))
+        assert digits and out == want
+
+    def test_negative_total(self):
+        rng = random.Random(14)
+        a, b = operand(rng, 80, 400, "random"), operand(rng, 90, 400, "random")
+        a[-1] = -abs(a[-1])
+        b[-1] = abs(b[-1])
+        want = schoolbook(a, b)
+        assert want[-1] < 0
+        out, digits = by_kernel(a, b, 0)
+        assert digits and out == want
+
+    @pytest.mark.parametrize("k", [1, 8, 300])
+    def test_every_block_borrows(self, k):
+        a = [-((1 << k) - 1)] * 40
+        for b in (a, list(range(1, 41)), [-c for c in range(1, 41)]):
+            out, digits = by_kernel(a, b, 0)
+            assert digits and out == schoolbook(a, b)
+
+    def test_final_borrow(self):
+        # Only the leading coefficient is negative, so the borrow leaves the top block.
+        rng = random.Random(15)
+        a = [rng.randrange(0, 1 << 200) for _ in range(49)] + [-(1 << 199)]
+        b = [rng.randrange(0, 1 << 200) for _ in range(45)] + [1 << 199]
+        for y in (a, b):
+            out, digits = by_kernel(a, y, 0)
+            assert digits and out == schoolbook(a, y)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_every_balanced_digit(self, j):
+        # Reading back takes every balanced digit [-10^j/2, 10^j/2) below a
+        # positive top, and every one of (-10^j/2, 10^j/2] below a negative
+        # one, wider than the |c| < 10^(j-1) the kernel's j leaves.
+        half = 10**j // 2
+        for c in range(-half, half + 1):
+            for top in (1, -1):
+                if c * top != half:
+                    cs = [c, c, top]
+                    assert _kronecker_decimal((cs,), ([1],), j, 3) == cs
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
     def test_at_the_lowest_digit_limit(self):
@@ -663,6 +730,21 @@ class TestDecimalKronecker:
                 assert out == _mul_schoolbook(a, list(a))
         finally:
             sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+    def test_negative_total_at_the_lowest_digit_limit(self):
+        # j = 640 as above, with a negative leading coefficient: a final
+        # borrow and a negative total, neither of which may raise.
+        a = [(1 << 1057) - 1 - i for i in range(255)]
+        b = a[:-1] + [-a[-1]]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            out, digits = by_kernel(a, b, pellred.kernels.KRONECKER_DECIMAL_MIN_BITS)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        want = _mul_schoolbook(a, b)
+        assert digits == [640] and want[-1] < 0 and out == want
 
     def test_callers_decimal_context_is_neither_used_nor_changed(self):
         a = [(-1) ** i * 3**300 + i for i in range(ALWAYS_KRONECKER)]
