@@ -35,7 +35,6 @@ from .pell2 import (
     NotASolution,
     OddIndexUndefined,
     PellProblem,
-    PellSolution,
     PreconditionViolated,
     UnsupportedD,
     ZeroD,
@@ -52,7 +51,6 @@ from .pellm import (
     DivisibilityReport,
     IrrationalNormalizer,
     NotPrime,
-    PellMSolution,
     ZeroR,
     classify_m,
     divisibility_probe,
@@ -60,11 +58,22 @@ from .pellm import (
     verify_m,
 )
 
-#: Every public name imported above; the submodules themselves are not listed.
+#: Every public name imported above, and the two solution records, which
+#: ``__getattr__`` loads on first use; the submodules themselves are not listed.
 __all__ = [
     name
     for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)
-]
+] + ["PellSolution", "PellMSolution"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The solution records are frozen dataclasses; importing ``dataclasses``
+    # is left to the first command or call that needs them (PEP 562).
+    if name in ("PellSolution", "PellMSolution"):
+        from . import solutions
+
+        return getattr(solutions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,6 @@ bare line.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .polyring import DomainError, ParseError, Poly, decimal_int, decimal_str, parse_poly
@@ -80,10 +79,14 @@ def _json_value(value) -> str:
     """An int by ``decimal_str``, as ``json`` stops at the interpreter's int-to-str
     digit limit; anything else by ``json.dumps``, a Poly through ``Poly.to_json``.
     """
+    import json  # only --json output loads it
+
     return decimal_str(value) if type(value) is int else json.dumps(value, default=Poly.to_json)
 
 
 def _json_line(data: dict) -> str:
+    import json
+
     return "{" + ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in data.items()) + "}"
 
 

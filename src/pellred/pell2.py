@@ -6,18 +6,21 @@ produces a solution of the Pell equation whenever that power is rational.
 This module generates those solutions, classifies when they are integer
 polynomials, runs the degree-reducing descent step, and identifies verified
 solutions against the generated family by descending them to (1, 0).
+``PellProblem`` and ``IntegralityClass`` are ``redei.Record``s; the solution
+record ``PellSolution`` is a frozen dataclass in ``solutions``, loaded on the
+first solve or the first read of the name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernels import point_test
 from .polyring import DomainError, ONE, Poly, X, ZERO, common_denominator, decimal_str
 from .polymat import build_circulant
 from .redei import (
-    RedeiPair, check_answer_size, check_degree_index, norm_power, redei_recurrence, redei_sequence,
+    Record, RedeiPair, check_answer_size, check_degree_index, norm_power, redei_recurrence,
+    redei_sequence,
 )
 from .pellm import IrrationalNormalizer, ZeroR, classify_m
 
@@ -42,16 +45,27 @@ class UnsupportedD(DomainError):
     """The explicit x^2 + d recurrences only cover d in {1, -1, 2, -2}."""
 
 
-@dataclass(frozen=True)
-class PellProblem:
+_set = object.__setattr__
+
+
+def __getattr__(name):
+    # PellSolution lives in ``solutions``, loaded on first use (PEP 562).
+    if name == "PellSolution":
+        from .solutions import PellSolution
+
+        return PellSolution
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class PellProblem(Record):
     """The equation P^2 - (f^2 + d)*Q^2 = 1."""
 
-    f: Poly
-    d: int
+    __slots__ = ("f", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", Poly(self.f))
-        if self.d == 0:
+    def __init__(self, f: Poly, d: int):
+        _set(self, "f", Poly(f))
+        _set(self, "d", d)
+        if d == 0:
             raise ZeroD("d must be a nonzero integer")
 
     @property
@@ -59,19 +73,7 @@ class PellProblem:
         return self.f * self.f + self.d
 
 
-@dataclass(frozen=True)
-class PellSolution:
-    """A normalized solution pair with its provenance index and scale."""
-
-    P: Poly
-    Q: Poly
-    n: int
-    integral: bool
-    normalizer: int
-
-
-@dataclass(frozen=True)
-class IntegralityClass:
+class IntegralityClass(Record):
     """Which indices n give integer-polynomial solutions for this d.
 
     ALL_N: every n (d = -1).  EVEN_N: exactly the even n (d in {1, 2, -2}).
@@ -79,8 +81,11 @@ class IntegralityClass:
     These are the degree-m cases of ``classify_m`` at m = 2, with r = d.
     """
 
-    tag: str
-    d: int
+    __slots__ = ("tag", "d")
+
+    def __init__(self, tag: str, d: int):
+        _set(self, "tag", tag)
+        _set(self, "d", d)
 
     def predicts_integral(self, n: int) -> bool:
         return n == 0 or classify_m(self.d, 2, n)
@@ -94,10 +99,10 @@ def classify(d: int) -> IntegralityClass:
     return IntegralityClass(tag, d)
 
 
-def _finish(pair: RedeiPair, scale: int) -> PellSolution:
+def _finish(solution: type, pair: RedeiPair, scale: int) -> PellSolution:
     P = pair.N / scale
     Q = pair.D / scale
-    return PellSolution(P, Q, pair.n, P.is_integral() and Q.is_integral(), scale)
+    return solution(P, Q, pair.n, P.is_integral() and Q.is_integral(), scale)
 
 
 def solve(problem: PellProblem, n: int) -> PellSolution:
@@ -111,7 +116,9 @@ def solve(problem: PellProblem, n: int) -> PellSolution:
         raise OddIndexUndefined(
             f"(-d)^(n/2) is irrational for d={decimal_str(problem.d)}, n={decimal_str(n)}"
         )
-    return _finish(redei_recurrence(problem.D, problem.f, n), scale)
+    from .solutions import PellSolution
+
+    return _finish(PellSolution, redei_recurrence(problem.D, problem.f, n), scale)
 
 
 def solve_sequence(problem: PellProblem, n_max: int) -> list[PellSolution | None]:
@@ -120,10 +127,12 @@ def solve_sequence(problem: PellProblem, n_max: int) -> list[PellSolution | None
     Entries are None where the normalizer is irrational.  Agrees with
     ``solve`` index by index wherever both are defined.
     """
+    from .solutions import PellSolution
+
     out: list[PellSolution | None] = []
     for pair in redei_sequence(problem.D, problem.f, n_max):
         scale = norm_power(-problem.d, 2, pair.n)
-        out.append(None if scale is None else _finish(pair, scale))
+        out.append(None if scale is None else _finish(PellSolution, pair, scale))
     return out
 
 

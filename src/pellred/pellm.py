@@ -10,17 +10,20 @@ R = alpha) is exactly M^n, so its determinant is
 With z = f and alpha = (-f)^m + r that determinant collapses to the constant
 ((-1)^(m-1) * r)^n, and dividing the vector by the m-th root power of that
 base (when it is an exact integer) yields solutions of det = 1.
+``DivisibilityReport`` is a ``redei.Record``; the solution record
+``PellMSolution`` is a frozen dataclass in ``solutions``, loaded on the first
+``solve_m`` or the first read of the name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .polyring import DomainError, Poly, common_denominator, decimal_str
 from .polymat import build_circulant
 from .redei import (  # the engine; its names stay importable from here
     GenRedeiVec,
+    Record,
     check_degree_index,
     gen_redei,
     gen_redei_oracle,
@@ -42,16 +45,16 @@ class NotPrime(DomainError):
     """The divisibility probe is only meaningful for prime m."""
 
 
-@dataclass(frozen=True)
-class PellMSolution:
-    """Normalized degree-m solution: the circulant of ``sols`` has det 1."""
+_set = object.__setattr__
 
-    m: int
-    n: int
-    R: Poly
-    sols: tuple[Poly, ...]
-    integral: bool
-    normalizer: int
+
+def __getattr__(name):
+    # PellMSolution lives in ``solutions``, loaded on first use (PEP 562).
+    if name == "PellMSolution":
+        from .solutions import PellMSolution
+
+        return PellMSolution
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def solve_m(f, r: int, m: int, n: int) -> PellMSolution:
@@ -66,6 +69,8 @@ def solve_m(f, r: int, m: int, n: int) -> PellMSolution:
             f"{decimal_str(base)}^({decimal_str(n)}/{m}) is not rational; "
             f"need n = 0 (mod {m}) or an exact root"
         )
+    from .solutions import PellMSolution
+
     f = Poly(f)
     alpha = (-f) ** m + r
     vec = gen_redei(f, alpha, m, n)
@@ -115,16 +120,21 @@ def _is_prime(m: int) -> bool:
     return m >= 2 and all(m % k for k in range(2, isqrt(m) + 1))
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
-    """Outcome of the coefficient-divisibility scan for r = +m and r = -m."""
+class DivisibilityReport(Record):
+    """Outcome of the coefficient-divisibility scan for r = +m and r = -m.
 
-    m: int
-    f: Poly
-    n_max: int
-    ok: bool
-    #: (r, n, component index) of the first failing coefficient check, if any.
-    violation: tuple[int, int, int] | None
+    ``violation`` is the (r, n, component index) of the first failing
+    coefficient check, or None.
+    """
+
+    __slots__ = ("m", "f", "n_max", "ok", "violation")
+
+    def __init__(self, m: int, f: Poly, n_max: int, ok: bool, violation: tuple[int, int, int] | None):
+        _set(self, "m", m)
+        _set(self, "f", f)
+        _set(self, "n_max", n_max)
+        _set(self, "ok", ok)
+        _set(self, "violation", violation)
 
 
 def divisibility_probe(f, m: int, n_max: int) -> DivisibilityReport:

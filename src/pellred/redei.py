@@ -7,7 +7,8 @@ m = 2 it is the classical pair
     (z + sqrt(alpha))^n = N_n + D_n * sqrt(alpha),   N_n = A_n^(0), D_n = A_n^(1)
 
 so a pair is a ``GenRedeiVec`` with m = 2, read through its ``N`` and ``D``
-(``RedeiPair`` names the same class).  Three genuinely independent
+(``RedeiPair`` names the same class), a ``Record``: the frozen slots base of
+the package's records.  Three genuinely independent
 constructions are provided so they can check one another: the componentwise
 step rule (the chain behind every m = 2 pair and ``divisibility_probe``),
 powers of the m x m step matrix (first column; ``solve_m`` takes this one),
@@ -21,7 +22,6 @@ which is what makes these vectors solve Pell-type equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .polyring import DomainError, ONE, Poly, ZERO, common_denominator, decimal_str
@@ -76,15 +76,65 @@ def check_answer_size(z: Poly, alpha: Poly, m: int, n: int) -> tuple[int, int]:
     return degree, bits
 
 
-@dataclass(frozen=True)
-class GenRedeiVec:
+_set = object.__setattr__
+
+
+class Record:
+    """A frozen record of the fields its class names in ``__slots__``.
+
+    Equal and hashed by its field tuple, and only to a record of its own
+    class; printed as ``Name(field=value, ...)``; assigning to it raises
+    AttributeError, so each ``__init__`` sets its fields with
+    ``object.__setattr__``.  The records of ``redei``, ``pell2`` and
+    ``pellm`` take this base rather than a frozen dataclass, so that
+    ``dataclasses``, and the ``inspect`` it imports, stay off the start-up
+    path of ``pellred``; only the solution records of ``solutions`` need it.
+    """
+
+    __slots__ = ()
+    _names: tuple = ()
+
+    def __init_subclass__(cls):
+        # The fields of a subclass: its base's, then its own slots.
+        cls._names = cls._names + cls.__dict__.get("__slots__", ())
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._names)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its __init__.
+        return type(self), self._fields()
+
+
+class GenRedeiVec(Record):
     """The vector (A_n^(0), ..., A_n^(m-1)) for given (z, alpha, m, n)."""
 
-    m: int
-    n: int
-    z: Poly
-    alpha: Poly
-    A: tuple[Poly, ...]
+    __slots__ = ("m", "n", "z", "alpha", "A")
+
+    def __init__(self, m: int, n: int, z: Poly, alpha: Poly, A: tuple[Poly, ...]):
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "z", z)
+        _set(self, "alpha", alpha)
+        _set(self, "A", A)
 
     @property
     def N(self) -> Poly:
