@@ -23,6 +23,7 @@ from .redei import (
     gen_redei,
     gen_redei_oracle,
     gen_redei_sequence,
+    gen_redei_steps,
     norm_identity_holds,
     redei_closed_form,
     redei_matrix,

@@ -13,8 +13,6 @@ first solve or the first read of the name.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .kernels import point_test
 from .polyring import DomainError, ONE, Poly, X, ZERO, common_denominator, decimal_str
 from .polymat import build_circulant
@@ -45,9 +43,6 @@ class UnsupportedD(DomainError):
     """The explicit x^2 + d recurrences only cover d in {1, -1, 2, -2}."""
 
 
-_set = object.__setattr__
-
-
 def __getattr__(name):
     # PellSolution lives in ``solutions``, loaded on first use (PEP 562).
     if name == "PellSolution":
@@ -62,9 +57,8 @@ class PellProblem(Record):
 
     __slots__ = ("f", "d")
 
-    def __init__(self, f: Poly, d: int):
-        _set(self, "f", Poly(f))
-        _set(self, "d", d)
+    def __init__(self, f: Poly, d: int, /):
+        Record.__init__(self, Poly(f), d)
         if d == 0:
             raise ZeroD("d must be a nonzero integer")
 
@@ -82,10 +76,6 @@ class IntegralityClass(Record):
     """
 
     __slots__ = ("tag", "d")
-
-    def __init__(self, tag: str, d: int):
-        _set(self, "tag", tag)
-        _set(self, "d", d)
 
     def predicts_integral(self, n: int) -> bool:
         return n == 0 or classify_m(self.d, 2, n)
@@ -157,14 +147,29 @@ def descend(P, Q, f, d: int, n: int) -> tuple[Poly, Poly]:
 
         P' = -(f/d)*P + ((f^2+d)/d)*Q,   Q' = (1/d)*P - (f/d)*Q
 
-    Requires P^2 - (f^2+d)*Q^2 == (-d)^n exactly.  When the leading
-    coefficients of P, Q, f are positive (callers normalize signs first) the
-    degrees of both components drop strictly.  Expanding f^2 + d shows
-    P' = Q - f*Q', which is how P' is computed: no product by f^2 + d.
+    Requires P^2 - (f^2+d)*Q^2 == (-d)^n exactly, else raises
+    PreconditionViolated, at a level of any size without building a power
+    of twice the residual's length.  When the leading coefficients of P, Q,
+    f are positive (callers normalize signs first) the degrees of both
+    components drop strictly.  Expanding f^2 + d shows P' = Q - f*Q', which
+    is how P' is computed: no product by f^2 + d.
     """
     problem = PellProblem(f, d)
     P, Q, f, D = Poly(P), Poly(Q), problem.f, problem.D
-    if P.square() - D * Q.square() != Fraction(-d) ** n:
+    residual = P.square() - D * Q.square()
+    # The residual must be the constant c = (-d)^n: an integer for n >= 0,
+    # and below a fraction of numerator +-1, so that in both cases its
+    # numerator times its denominator is (-d)^|n|.  As |d|^|n| has more than
+    # |n|*(b - 1) bits, b the bit length of |d|, a product no longer than
+    # that is refused before the power is built, and a power that is built
+    # has fewer than twice the bits of the product.
+    c = residual.leading if residual.degree == 0 and (n < 0 or residual.is_integral()) else 0
+    ce = c.numerator * c.denominator
+    if (
+        (n < 0 and abs(c.numerator) != 1)
+        or abs(n) * (abs(d).bit_length() - 1) >= ce.bit_length()
+        or ce != (-d) ** abs(n)
+    ):
         raise PreconditionViolated(f"pair is not at norm level (-d)^{decimal_str(n)}")
     Q_next = (P - f * Q) / d
     return (Q - f * Q_next, Q_next)

@@ -28,6 +28,7 @@ from .redei import (  # the engine; its names stay importable from here
     gen_redei,
     gen_redei_oracle,
     gen_redei_sequence,
+    gen_redei_steps,
     norm_power,
     step_matrix,
 )
@@ -43,9 +44,6 @@ class ZeroR(DomainError):
 
 class NotPrime(DomainError):
     """The divisibility probe is only meaningful for prime m."""
-
-
-_set = object.__setattr__
 
 
 def __getattr__(name):
@@ -129,13 +127,6 @@ class DivisibilityReport(Record):
 
     __slots__ = ("m", "f", "n_max", "ok", "violation")
 
-    def __init__(self, m: int, f: Poly, n_max: int, ok: bool, violation: tuple[int, int, int] | None):
-        _set(self, "m", m)
-        _set(self, "f", f)
-        _set(self, "n_max", n_max)
-        _set(self, "ok", ok)
-        _set(self, "violation", violation)
-
 
 def divisibility_probe(f, m: int, n_max: int) -> DivisibilityReport:
     """Check m^(n div m) divides every coefficient of every component.
@@ -143,6 +134,8 @@ def divisibility_probe(f, m: int, n_max: int) -> DivisibilityReport:
     Runs over r = +m and r = -m with alpha = (-f)^m + r, for n = 0..n_max.
     This is the mechanical content behind the prime-m integrality case: each
     block of m steps contributes one more factor of m to the whole vector.
+    The vectors are checked as ``gen_redei_steps`` makes them, so the probe
+    holds one at a time.
     """
     check_degree_index(m, n_max)
     if not _is_prime(m):
@@ -150,7 +143,7 @@ def divisibility_probe(f, m: int, n_max: int) -> DivisibilityReport:
     f = Poly(f)
     for r in (m, -m):
         alpha = (-f) ** m + r
-        for vec in gen_redei_sequence(f, alpha, m, n_max):
+        for vec in gen_redei_steps(f, alpha, m, n_max):
             need = m ** (vec.n // m)
             if need == 1:
                 continue

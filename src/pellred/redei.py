@@ -22,6 +22,7 @@ which is what makes these vectors solve Pell-type equations.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import comb
 
 from .polyring import DomainError, ONE, Poly, ZERO, common_denominator, decimal_str
@@ -76,19 +77,21 @@ def check_answer_size(z: Poly, alpha: Poly, m: int, n: int) -> tuple[int, int]:
     return degree, bits
 
 
-_set = object.__setattr__
-
-
 class Record:
     """A frozen record of the fields its class names in ``__slots__``.
 
+    The one construction rule: a record is built by position, one value for
+    each field, its base's fields first and then its own slots; a wrong
+    count raises TypeError.  A subclass writes no ``__init__`` unless it
+    converts or refuses a value, and then passes every field on to
+    ``Record.__init__``.
+
     Equal and hashed by its field tuple, and only to a record of its own
     class; printed as ``Name(field=value, ...)``; assigning to it raises
-    AttributeError, so each ``__init__`` sets its fields with
-    ``object.__setattr__``.  The records of ``redei``, ``pell2`` and
-    ``pellm`` take this base rather than a frozen dataclass, so that
-    ``dataclasses``, and the ``inspect`` it imports, stay off the start-up
-    path of ``pellred``; only the solution records of ``solutions`` need it.
+    AttributeError.  The records of ``redei``, ``pell2`` and ``pellm`` take
+    this base rather than a frozen dataclass, so that ``dataclasses``, and
+    the ``inspect`` it imports, stay off the start-up path of ``pellred``;
+    only the solution records of ``solutions`` need it.
     """
 
     __slots__ = ()
@@ -97,6 +100,13 @@ class Record:
     def __init_subclass__(cls):
         # The fields of a subclass: its base's, then its own slots.
         cls._names = cls._names + cls.__dict__.get("__slots__", ())
+
+    def __init__(self, *fields):
+        names = self._names
+        if len(fields) != len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} fields, got {len(fields)}")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self._names)
@@ -128,13 +138,6 @@ class GenRedeiVec(Record):
     """The vector (A_n^(0), ..., A_n^(m-1)) for given (z, alpha, m, n)."""
 
     __slots__ = ("m", "n", "z", "alpha", "A")
-
-    def __init__(self, m: int, n: int, z: Poly, alpha: Poly, A: tuple[Poly, ...]):
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "z", z)
-        _set(self, "alpha", alpha)
-        _set(self, "A", A)
 
     @property
     def N(self) -> Poly:
@@ -168,8 +171,8 @@ def gen_redei(z, alpha, m: int, n: int) -> GenRedeiVec:
     return GenRedeiVec(m, n, z, alpha, power.column(0))
 
 
-def gen_redei_sequence(z, alpha, m: int, n_max: int) -> list[GenRedeiVec]:
-    """Vectors for n = 0..n_max via the componentwise step rule.
+def gen_redei_steps(z, alpha, m: int, n_max: int) -> Iterator[GenRedeiVec]:
+    """Vectors for n = 0..n_max via the componentwise step rule, one at a time.
 
     A_{n+1}^(0) = z*A_n^(0) + alpha*A_n^(m-1);
     A_{n+1}^(i) = z*A_n^(i) + A_n^(i-1) for i >= 1.
@@ -191,12 +194,16 @@ def gen_redei_sequence(z, alpha, m: int, n_max: int) -> list[GenRedeiVec]:
     there, and the same regroup of alpha = +-z^m + c costs 2m - 1 products
     by z and one by c against m + 1 products, which pays only when
     m < deg z + 1.
+
+    The generator holds only the vector it is at.  Its argument checks, and
+    ``check_answer_size``'s refusal, run at the first step, before any
+    product.
     """
     check_degree_index(m, n_max)
     z, alpha = Poly(z), Poly(alpha)
     check_answer_size(z, alpha, m, n_max)
     comp = [ONE] + [ZERO] * (m - 1)
-    out = [GenRedeiVec(m, 0, z, alpha, tuple(comp))]
+    yield GenRedeiVec(m, 0, z, alpha, tuple(comp))
     if m == 2:
         c = alpha - z * z
         N, D, zD = ONE, ZERO, ZERO
@@ -204,14 +211,18 @@ def gen_redei_sequence(z, alpha, m: int, n_max: int) -> list[GenRedeiVec]:
             s = N + zD
             zD = z * s
             N, D = zD + c * D, s
-            out.append(GenRedeiVec(2, n, z, alpha, (N, D)))
-        return out
+            yield GenRedeiVec(2, n, z, alpha, (N, D))
+        return
     for n in range(1, n_max + 1):
         comp = [z * comp[0] + alpha * comp[m - 1]] + [
             z * comp[i] + comp[i - 1] for i in range(1, m)
         ]
-        out.append(GenRedeiVec(m, n, z, alpha, tuple(comp)))
-    return out
+        yield GenRedeiVec(m, n, z, alpha, tuple(comp))
+
+
+def gen_redei_sequence(z, alpha, m: int, n_max: int) -> list[GenRedeiVec]:
+    """The vectors of ``gen_redei_steps`` for n = 0..n_max, in one list."""
+    return list(gen_redei_steps(z, alpha, m, n_max))
 
 
 def gen_redei_oracle(z, alpha, m: int, n: int) -> GenRedeiVec:

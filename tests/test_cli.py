@@ -570,19 +570,46 @@ class TestBigIntegers:
         ids=["redei-1e12", "redei", "table", "solve-m", "probe", "solve"],
     )
     def test_huge_index_is_refused_up_front(self, argv):
-        # Only the child runs under the address-space limit: a run that set
-        # out to build the answer would fail there fast, not fill the machine.
-        resource = pytest.importorskip("resource")
-        limit = 512 * 2**20
-        src = str(Path(pellred.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run(
-            [sys.executable, "-m", "pellred", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        run = run_in_bounded_memory(["-m", "pellred", *argv], 512)
         assert (run.returncode, run.stdout) == (1, "")
         assert run.stderr.startswith("AnswerTooLarge: ")
+
+    def test_probe_holds_one_vector_at_a_time(self):
+        # Every vector up to n = 1000 at once takes about 90 MB; the probe
+        # checks each as it is made and stays near 20 MB.
+        run = run_in_bounded_memory(["-m", "pellred", "probe", "-f", "x", "-m", "3", "--n-max", "1000"], 64)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.endswith("result = ok\n")
+
+    def test_descend_refuses_a_huge_level_before_the_power(self):
+        code = (
+            "from pellred import Poly, PreconditionViolated, descend\n"
+            "try:\n"
+            "    descend(Poly(2), Poly(0), Poly('x'), 2, 10**10)\n"
+            "except PreconditionViolated as e:\n"
+            "    print(e)\n"
+        )
+        run = run_in_bounded_memory(["-c", code], 512, timeout=10)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == "pair is not at norm level (-d)^10000000000\n"
+
+
+def run_in_bounded_memory(args, mib, timeout=60):
+    """Run the interpreter on args with its address space limited to mib MiB.
+
+    Only the child runs under the limit: a run that set out to build more
+    than that fails there fast, with a MemoryError, and does not fill the
+    machine.
+    """
+    resource = pytest.importorskip("resource")
+    limit = mib * 2**20
+    src = str(Path(pellred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
 
 
 # -- fuzzing main() with random argv --------------------------------------------

@@ -206,6 +206,15 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 delattr(record, name)
 
+    @pytest.mark.parametrize("record, names, text", RECORDS)
+    def test_fields_by_position_only(self, record, names, text):
+        fields = tuple(getattr(record, name) for name in names)
+        for wrong in (fields[:-1], fields + (1,)):
+            with pytest.raises(TypeError):
+                type(record)(*wrong)
+        with pytest.raises(TypeError):
+            type(record)(**dict(zip(names, fields)))
+
     def test_pell_problem_coerces_f_and_refuses_zero_d(self):
         assert PellProblem("x^2", 2).f == Poly("x^2")
         with pytest.raises(pellred.ZeroD):
